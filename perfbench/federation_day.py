@@ -2,7 +2,8 @@
 
 Compiles ``federation_day.json`` with the run's seed and runs it to
 its horizon, one simulated hour per timed chunk, as many times as the
-run's seconds allow.  Tracing is off in the measured runs.
+run's seconds allow, in two processes at once.  Tracing is off in the
+measured runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import List, Tuple
 
-from common import Outcome, peak_rss_mib, percentile, tail
+from common import Outcome, in_parallel, peak_rss_mib, percentile, tail
 from layers import (LayerProbe, check_self_times, instrument, layer_metrics,
                     ratio)
 
@@ -107,53 +108,68 @@ def modelled(compiled, summary) -> dict:
     }
 
 
-def run(seed: int, seconds: float, trace: bool) -> Outcome:
-    outcome = Outcome()
+def measure(seed: int, seconds: float) -> dict:
+    """One copy's untraced repeats of the scenario, for ``seconds``."""
     spec = load_spec()
-    setups = [compile_timed(spec, seed, False)[1]
-              for _ in range(SETUP_REPEATS - 1)]
+    part = {
+        "setups": [compile_timed(spec, seed, False)[1]
+                   for _ in range(SETUP_REPEATS - 1)],
+        "hour_walls": [], "sim_hours": 0.0, "runs": 0, "problems": [],
+        "summary": None, "figures": None,
+    }
     deadline = perf_counter() + seconds
-    sim_hours = 0.0
-    hour_walls: List[float] = []
-    first_summary = None
     while True:
         started = perf_counter()
         compiled, setup = compile_timed(spec, seed, False)
-        setups.append(setup)
+        part["setups"].append(setup)
         walls = run_chunks(compiled)
         summary, problems = audit(spec, seed, compiled)
-        outcome.attempted += 1
-        if first_summary is None:
-            first_summary = summary
-            figures = modelled(compiled, summary)
-            figures["forwarded"] = summary["federation"]["forwarded"]
-            figures["relayed"] = summary["federation"]["relayed"]
-            figures["interruptions"] = interruptions(compiled)
-        elif summary != first_summary:
+        part["runs"] += 1
+        if part["summary"] is None:
+            part["summary"] = summary
+            part["figures"] = modelled(compiled, summary)
+            part["figures"]["forwarded"] = summary["federation"]["forwarded"]
+            part["figures"]["relayed"] = summary["federation"]["relayed"]
+            part["figures"]["interruptions"] = interruptions(compiled)
+        elif summary != part["summary"]:
             problems.append("determinism: a repeat of the same seed "
                             "produced a different summary")
         if problems:
-            outcome.fail("; ".join(problems))
-        sim_hours += compiled.horizon / 3600.0
-        hour_walls.extend(walls)
+            part["problems"].append("; ".join(problems))
+        part["sim_hours"] += compiled.horizon / 3600.0
+        part["hour_walls"].extend(walls)
         # Start another repeat only if at least half of it fits.
-        remaining = deadline - perf_counter()
-        if trace or remaining < (perf_counter() - started) / 2:
+        if deadline - perf_counter() < (perf_counter() - started) / 2:
             break
+    part["rss"] = peak_rss_mib()
+    return part
 
+
+def run(seed: int, seconds: float, trace: bool) -> Outcome:
     if trace:
-        return traced(spec, seed, outcome, setup + sum(walls))
+        return traced(seed)
+    parts = in_parallel(measure, seed, seconds)
+    outcome = Outcome()
+    for part in parts:
+        outcome.attempted += part["runs"]
+        for problem in part["problems"]:
+            outcome.fail(problem)
+        if part["summary"] != parts[0]["summary"]:
+            outcome.fail("determinism: two processes given the same seed "
+                         "produced different summaries")
+    hour_walls = [wall for part in parts for wall in part["hour_walls"]]
+    setups = [setup for part in parts for setup in part["setups"]]
+    rate = sum(part["sim_hours"] for part in parts) / sum(hour_walls)
 
     p, tail_value, count = tail(hour_walls)
-    for name, value in figures.items():
+    for name, value in parts[0]["figures"].items():
         outcome.detail(name, value, "count" if name in (
             "forwarded", "relayed", "interruptions") else "frac")
-    rate = sim_hours / sum(hour_walls)
     outcome.detail("sim_hours_per_s", rate, "sim-h/s")
     outcome.detail("hour_samples", count, "count")
     outcome.detail("tail_percentile", p, "pct")
     outcome.put("setup_s", statistics.median(setups), "s")
-    outcome.put("peak_rss_mib", peak_rss_mib(), "MiB")
+    outcome.put("peak_rss_mib", max(part["rss"] for part in parts), "MiB")
     outcome.put("ok_frac", 1.0 - ratio(outcome.failed, outcome.attempted),
                 "frac")
     outcome.put("throughput_per_s", rate, "1/s")
@@ -162,14 +178,23 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
     return outcome
 
 
-def traced(spec, seed: int, outcome: Outcome, untraced_wall: float
-           ) -> Outcome:
-    """One traced repeat, spec tracing on, for the per-layer table.
+def traced(seed: int) -> Outcome:
+    """An untraced and a traced repeat in this process; the traced one
+    has the spec's span tracing on and feeds the per-layer table.
 
-    Its wall-clock covers compilation too, since building the
+    Both wall-clocks cover compilation too, since building the
     deployment already calls into the layers (agent registration).
     """
     from repro.observability import KernelProfile
+
+    outcome = Outcome()
+    spec = load_spec()
+    compiled, untraced_wall = compile_timed(spec, seed, False)
+    untraced_wall += sum(run_chunks(compiled))
+    _, problems = audit(spec, seed, compiled)
+    outcome.attempted += 1
+    if problems:
+        outcome.fail("; ".join(problems))
 
     probe = LayerProbe()
     with instrument(probe):

@@ -5,7 +5,8 @@ hosts, most flows fanning in onto a few hot servers) is driven only
 through ``FlowNetwork.transfer``.  The run builds up a flow population,
 then holds it constant: every completion is replaced by a new flow.
 The shared backbone puts every flow in one link-connected component,
-so each arrival and completion reallocates the whole population.
+so each arrival and completion reallocates the whole population.  Two
+processes run the same storm at once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from contextlib import nullcontext
 from time import perf_counter
 from typing import List
 
-from common import Outcome, peak_rss_mib, percentile, tail
+from common import Outcome, in_parallel, peak_rss_mib, percentile, tail
 from layers import (LayerProbe, check_self_times, instrument, layer_metrics,
                     ratio)
 
@@ -145,68 +146,92 @@ class Storm:
         return problems
 
 
-def time_setup() -> float:
+def setup_samples() -> List[float]:
     walls = []
     for _ in range(SETUP_REPEATS):
         started = perf_counter()
         build_topology()
         walls.append(perf_counter() - started)
-    return statistics.median(walls)
+    return walls
 
 
-def run(seed: int, seconds: float, trace: bool) -> Outcome:
-    outcome = Outcome()
-    setup = time_setup()
-    if trace:
-        return traced(seed, outcome)
+def measure(seed: int, seconds: float) -> dict:
+    """One copy's storm: buildup, then churn until ``seconds`` pass."""
+    setups = setup_samples()
     deadline = perf_counter() + seconds
     storm = Storm(seed)
     buildup_wall = storm.buildup()
-    buildup_arrivals = storm.arrivals
-    population = len(storm.net.active_flows)
-    # Read at full population: the churn that follows runs for as long
-    # as the host allows, so later readings would track host speed.
-    rss = peak_rss_mib()
-    completions, churn_wall = storm.churn(MIN_COMPLETIONS, deadline)
-    check(outcome, storm)
+    part = {
+        "setups": setups,
+        "buildup_wall": buildup_wall,
+        "buildup_arrivals": storm.arrivals,
+        "population": len(storm.net.active_flows),
+        # Read at full population: the churn that follows runs for as
+        # long as the host allows, so later readings track host speed.
+        "rss": peak_rss_mib(),
+    }
+    part["completions"], part["churn_wall"] = storm.churn(MIN_COMPLETIONS,
+                                                          deadline)
+    part["admit_walls"] = storm.admit_walls
+    part["arrivals"] = storm.arrivals
+    part["problems"] = problems(storm)
+    return part
 
-    p, tail_value, count = tail(storm.admit_walls)
-    rate = completions / churn_wall
-    outcome.detail("flow_arrivals_per_s", buildup_arrivals / buildup_wall,
-                   "1/s")
+
+def problems(storm: Storm) -> List[str]:
+    """Every wrong transfer or rate, and a drained population."""
+    found = storm.check()
+    if not storm.net.active_flows:
+        found.append("validity: the population drained")
+    return found
+
+
+def run(seed: int, seconds: float, trace: bool) -> Outcome:
+    if trace:
+        return traced(seed)
+    parts = in_parallel(measure, seed, seconds)
+    outcome = Outcome()
+    for part in parts:
+        outcome.attempted += part["arrivals"]
+        for problem in part["problems"]:
+            outcome.fail(problem)
+    admit_walls = [wall for part in parts for wall in part["admit_walls"]]
+    rate = (sum(part["completions"] for part in parts)
+            / sum(part["churn_wall"] for part in parts))
+
+    p, tail_value, count = tail(admit_walls)
+    outcome.detail("flow_arrivals_per_s",
+                   sum(part["buildup_arrivals"] for part in parts)
+                   / sum(part["buildup_wall"] for part in parts), "1/s")
     outcome.detail("flow_completions_per_s", rate, "1/s")
-    outcome.detail("population_after_buildup", population, "count")
-    outcome.detail("churn_completions", completions, "count")
+    outcome.detail("population_after_buildup", parts[0]["population"],
+                   "count")
+    outcome.detail("churn_completions",
+                   sum(part["completions"] for part in parts), "count")
     outcome.detail("admit_samples", count, "count")
     outcome.detail("tail_percentile", p, "pct")
-    outcome.put("setup_s", setup, "s")
-    outcome.put("peak_rss_mib", rss, "MiB")
+    outcome.put("setup_s", statistics.median(
+        [setup for part in parts for setup in part["setups"]]), "s")
+    outcome.put("peak_rss_mib", max(part["rss"] for part in parts), "MiB")
     outcome.put("ok_frac", 1.0 - ratio(outcome.failed, outcome.attempted),
                 "frac")
     outcome.put("throughput_per_s", rate, "1/s")
-    outcome.put("latency_p50_ms", percentile(storm.admit_walls, 50) * 1e3,
-                "ms")
+    outcome.put("latency_p50_ms", percentile(admit_walls, 50) * 1e3, "ms")
     outcome.put("latency_tail_ms", tail_value * 1e3, "ms")
     return outcome
 
 
-def check(outcome: Outcome, storm: Storm) -> None:
-    """Count every transfer; fail the run on any wrong one."""
-    outcome.attempted += storm.arrivals
-    for problem in storm.check():
-        outcome.fail(problem)
-    if not storm.net.active_flows:
-        outcome.fail("validity: the population drained")
-
-
-def traced(seed: int, outcome: Outcome) -> Outcome:
+def traced(seed: int) -> Outcome:
     """An untraced and a traced pass over the same fixed work."""
     from repro.observability import KernelProfile
 
+    outcome = Outcome()
     plain = Storm(seed)
     untraced_wall = (plain.buildup()
                      + plain.churn(TRACED_COMPLETIONS)[1])
-    check(outcome, plain)
+    outcome.attempted += plain.arrivals
+    for problem in problems(plain):
+        outcome.fail(problem)
 
     probe = LayerProbe()
     with instrument(probe):
@@ -215,8 +240,8 @@ def traced(seed: int, outcome: Outcome) -> Outcome:
         storm.env.hooks = profile
         wall = storm.buildup()
         wall += storm.churn(TRACED_COMPLETIONS)[1]
-    check(outcome, storm)
-    for problem in check_self_times(probe.clock, wall):
+    outcome.attempted += storm.arrivals
+    for problem in problems(storm) + check_self_times(probe.clock, wall):
         outcome.fail(problem)
     metrics = layer_metrics(probe, profile, [], storm.env.now, wall)
     metrics["trace.overhead_frac"] = wall / untraced_wall - 1.0

@@ -35,9 +35,9 @@ from layers import ratio
 CHILD = Path(__file__).with_name("service_child.py")
 
 #: Jobs per second in the reference phase (no request may be refused).
-REFERENCE_RATE = 20.0
+REFERENCE_RATE = 40.0
 #: Share of the run's seconds spent at the reference rate.
-REFERENCE_SHARE = 0.35
+REFERENCE_SHARE = 0.4
 #: First ladder rate, jobs per second, and the factor between rates
 #: until one misses the limit.
 LADDER_START = 150.0
