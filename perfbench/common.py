@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
+import pickle
 import re
 import resource
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+COPY_CHILD = Path(__file__).with_name("copy_child.py")
 
 #: A metric name: starts with a letter or digit, then letters, digits,
 #: ``_``, ``.`` and ``-``; at most 64 characters.
@@ -69,15 +73,51 @@ def tail(samples: Sequence[float]) -> Tuple[float, float, int]:
 COPIES = 2
 
 
-def in_parallel(function: Callable, *args) -> list:
-    """``function(*args)`` in :data:`COPIES` spawned processes at once.
+#: Wall seconds a copy may run past its measuring time before it is
+#: killed.
+COPY_GRACE_S = 60.0
 
-    Returns every copy's result; the processes have all ended.
+
+def in_parallel(module: str, seed: int, seconds: float) -> list:
+    """``module.measure(seed, seconds)`` in :data:`COPIES` child
+    processes at once (``copy_child.py``).
+
+    Returns every copy's result.  Every child has ended and been reaped
+    when this returns or raises.
     """
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=COPIES, mp_context=context) as pool:
-        futures = [pool.submit(function, *args) for _ in range(COPIES)]
-        return [future.result() for future in futures]
+    children = [subprocess.Popen(
+        [sys.executable, str(COPY_CHILD), module, str(seed), str(seconds)],
+        stdout=subprocess.PIPE) for _ in range(COPIES)]
+    try:
+        parts = []
+        for child in children:
+            out, _ = child.communicate(timeout=seconds + COPY_GRACE_S)
+            if child.returncode != 0:
+                raise RuntimeError(
+                    f"a copy of {module} exited with {child.returncode}")
+            parts.append(pickle.loads(out))
+        return parts
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+            child.wait()
+
+
+def best_of(repeats: Sequence[Sequence[float]]) -> List[float]:
+    """Per step, the least wall time any repeat took for it.
+
+    ``repeats`` are the step timings of repeats of identical work, so
+    they line up step for step.  A shared host runs a process fast or
+    slow in spells; the least time per step is the program's cost with
+    the slow spells taken out, whichever repeat they fell in.
+    """
+    if not repeats:
+        raise ValueError("best_of of no repeats")
+    lengths = {len(steps) for steps in repeats}
+    if len(lengths) != 1:
+        raise ValueError(f"repeats of different lengths: {sorted(lengths)}")
+    return [min(walls) for walls in zip(*repeats)]
 
 
 def peak_rss_mib() -> float:

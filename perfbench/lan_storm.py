@@ -2,39 +2,45 @@
 
 One :class:`~repro.network.CampusLAN` (200 Gbps backbone, 1 Gbps
 hosts, most flows fanning in onto a few hot servers) is driven only
-through ``FlowNetwork.transfer``.  The run builds up a flow population,
+through ``FlowNetwork.transfer``.  A storm builds up a flow population,
 then holds it constant: every completion is replaced by a new flow.
 The shared backbone puts every flow in one link-connected component,
 so each arrival and completion reallocates the whole population.  Two
-processes run the same storm at once.
+processes repeat the same seeded storm back to back; every repeat does
+the same work, so the timings report, call by call, the least wall
+time any repeat took (:func:`common.best_of`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from contextlib import nullcontext
 from time import perf_counter
 from typing import List
 
-from common import Outcome, in_parallel, peak_rss_mib, percentile, tail
+from common import (Outcome, best_of, in_parallel, peak_rss_mib, percentile,
+                    tail)
 from layers import (LayerProbe, check_self_times, instrument, layer_metrics,
                     ratio)
 
 HOSTS = 250
 HOT_SERVERS = 15
-POPULATION = 2000
+POPULATION = 1000
 #: Share of flows that fan in onto a hot server.
 FAN_IN = 0.72
 #: Mean simulated gap between buildup arrivals, seconds.
 ARRIVAL_GAP = 0.012
-#: Completions measured per churn pass in a traced run (fixed, so the
-#: traced and untraced passes do the same work).
-TRACED_COMPLETIONS = 300
-#: Fewest completions an untraced run measures, however short.
-MIN_COMPLETIONS = 100
-#: Topology builds timed per run for ``setup_s`` (median reported).
-SETUP_REPEATS = 20
+#: Completions churned per storm, each replaced by one ``transfer``
+#: call; 500 calls give a p95 tail.
+CHURN_COMPLETIONS = 500
+#: Topology builds timed per storm for ``setup_s`` (median reported).
+SETUP_REPEATS = 10
+#: Relative error allowed between a completed flow's delivered bytes
+#: and its size.  Sizes are floats, and crediting a flow's last stretch
+#: can round its total one unit in the last place past the size.
+DELIVERY_REL_TOL = 1e-12
 
 
 def build_topology():
@@ -66,6 +72,8 @@ class Storm:
         self.failures: List[str] = []
         #: Wall seconds of each ``transfer`` call in the churn phase.
         self.admit_walls: List[float] = []
+        #: When each churn-phase ``transfer`` call started.
+        self.admit_starts: List[float] = []
         self.measuring = False
 
     def submit(self) -> None:
@@ -81,6 +89,7 @@ class Storm:
         started = perf_counter()
         done = self.net.transfer(src, dst, size)
         if self.measuring:
+            self.admit_starts.append(started)
             self.admit_walls.append(perf_counter() - started)
         self.arrivals += 1
         done.callbacks.append(self._on_done)
@@ -89,7 +98,8 @@ class Storm:
         flow = event.value
         if not event.ok:
             self.failures.append(f"transfer failed: {flow!r}")
-        elif flow.transferred != flow.size:
+        elif not math.isclose(flow.transferred, flow.size,
+                              rel_tol=DELIVERY_REL_TOL):
             self.failures.append(
                 f"flow {flow.flow_id} delivered {flow.transferred} of "
                 f"{flow.size} bytes")
@@ -114,9 +124,8 @@ class Storm:
                 self.env.step()
         return perf_counter() - started
 
-    def churn(self, completions: int, until_wall: float = 0.0) -> tuple:
-        """Step until ``completions`` flows have completed and the wall
-        clock has reached ``until_wall``.
+    def churn(self, completions: int) -> tuple:
+        """Step until ``completions`` flows have completed.
 
         Returns ``(completions, wall seconds)``.
         """
@@ -124,11 +133,8 @@ class Storm:
         before = self.completions
         started = perf_counter()
         with self._span():
-            while True:
+            while self.completions - before < completions:
                 self.env.step()
-                if (self.completions - before >= completions
-                        and perf_counter() >= until_wall):
-                    break
         return self.completions - before, perf_counter() - started
 
     def check(self) -> List[str]:
@@ -146,35 +152,45 @@ class Storm:
         return problems
 
 
-def setup_samples() -> List[float]:
-    walls = []
-    for _ in range(SETUP_REPEATS):
-        started = perf_counter()
-        build_topology()
-        walls.append(perf_counter() - started)
-    return walls
+def time_setup() -> float:
+    """Wall seconds of one topology build."""
+    started = perf_counter()
+    build_topology()
+    return perf_counter() - started
 
 
 def measure(seed: int, seconds: float) -> dict:
-    """One copy's storm: buildup, then churn until ``seconds`` pass."""
-    setups = setup_samples()
+    """One copy's repeats of the seed's storm, back to back for
+    ``seconds``: each builds up its population, then churns
+    :data:`CHURN_COMPLETIONS` completions."""
     deadline = perf_counter() + seconds
-    storm = Storm(seed)
-    buildup_wall = storm.buildup()
-    part = {
-        "setups": setups,
-        "buildup_wall": buildup_wall,
-        "buildup_arrivals": storm.arrivals,
-        "population": len(storm.net.active_flows),
-        # Read at full population: the churn that follows runs for as
-        # long as the host allows, so later readings track host speed.
-        "rss": peak_rss_mib(),
-    }
-    part["completions"], part["churn_wall"] = storm.churn(MIN_COMPLETIONS,
-                                                          deadline)
-    part["admit_walls"] = storm.admit_walls
-    part["arrivals"] = storm.arrivals
-    part["problems"] = problems(storm)
+    part = {"buildups": [], "admits": [], "gaps": [], "arrivals": 0,
+            "end": None, "setups": [], "problems": [], "rss": 0.0}
+    while True:
+        started = perf_counter()
+        part["setups"] += [time_setup() for _ in range(SETUP_REPEATS)]
+        storm = Storm(seed)
+        part["buildups"].append(storm.buildup())
+        part["population"] = len(storm.net.active_flows)
+        # Read at full population: the churn holds it there.
+        part["rss"] = max(part["rss"], peak_rss_mib())
+        storm.churn(CHURN_COMPLETIONS)
+        part["arrivals"] += storm.arrivals
+        part["admits"].append(storm.admit_walls)
+        # Wall from each churn call to the next: the call, the steps
+        # and the completion that lead to the next call.
+        starts = storm.admit_starts
+        part["gaps"].append([b - a for a, b in zip(starts, starts[1:])])
+        found = problems(storm)
+        if part["end"] is None:
+            part["end"] = (storm.env.now, len(starts))
+        elif (storm.env.now, len(starts)) != part["end"]:
+            found.append("determinism: a repeat of the same storm ended "
+                         "at a different time or call count")
+        part["problems"] += found
+        # Start another storm only if at least half of it fits.
+        if deadline - perf_counter() < (perf_counter() - started) / 2:
+            break
     return part
 
 
@@ -189,34 +205,41 @@ def problems(storm: Storm) -> List[str]:
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
     if trace:
         return traced(seed)
-    parts = in_parallel(measure, seed, seconds)
+    parts = in_parallel(__name__, seed, seconds)
     outcome = Outcome()
     for part in parts:
         outcome.attempted += part["arrivals"]
         for problem in part["problems"]:
             outcome.fail(problem)
-    admit_walls = [wall for part in parts for wall in part["admit_walls"]]
-    rate = (sum(part["completions"] for part in parts)
-            / sum(part["churn_wall"] for part in parts))
+        if part["end"] != parts[0]["end"]:
+            outcome.fail("determinism: two processes given the same seed "
+                         "ended their storms differently")
+    if not outcome.correct:
+        return outcome
+    admits = best_of([walls for part in parts for walls in part["admits"]])
+    gaps = best_of([walls for part in parts for walls in part["gaps"]])
+    buildup = min(wall for part in parts for wall in part["buildups"])
+    rate = len(gaps) / sum(gaps)
 
-    p, tail_value, count = tail(admit_walls)
-    outcome.detail("flow_arrivals_per_s",
-                   sum(part["buildup_arrivals"] for part in parts)
-                   / sum(part["buildup_wall"] for part in parts), "1/s")
+    p, tail_value, count = tail(admits)
+    outcome.detail("flow_arrivals_per_s", parts[0]["population"] / buildup,
+                   "1/s")
     outcome.detail("flow_completions_per_s", rate, "1/s")
     outcome.detail("population_after_buildup", parts[0]["population"],
                    "count")
-    outcome.detail("churn_completions",
-                   sum(part["completions"] for part in parts), "count")
+    outcome.detail("repeats", sum(len(part["admits"]) for part in parts),
+                   "count")
     outcome.detail("admit_samples", count, "count")
     outcome.detail("tail_percentile", p, "pct")
-    outcome.put("setup_s", statistics.median(
-        [setup for part in parts for setup in part["setups"]]), "s")
+    # Each copy's median set-up; the faster copy's, since one copy can
+    # sit on a slow vCPU for a whole run.
+    outcome.put("setup_s", min(statistics.median(part["setups"])
+                               for part in parts), "s")
     outcome.put("peak_rss_mib", max(part["rss"] for part in parts), "MiB")
     outcome.put("ok_frac", 1.0 - ratio(outcome.failed, outcome.attempted),
                 "frac")
     outcome.put("throughput_per_s", rate, "1/s")
-    outcome.put("latency_p50_ms", percentile(admit_walls, 50) * 1e3, "ms")
+    outcome.put("latency_ms", percentile(admits, 50) * 1e3, "ms")
     outcome.put("latency_tail_ms", tail_value * 1e3, "ms")
     return outcome
 
@@ -227,8 +250,7 @@ def traced(seed: int) -> Outcome:
 
     outcome = Outcome()
     plain = Storm(seed)
-    untraced_wall = (plain.buildup()
-                     + plain.churn(TRACED_COMPLETIONS)[1])
+    untraced_wall = plain.buildup() + plain.churn(CHURN_COMPLETIONS)[1]
     outcome.attempted += plain.arrivals
     for problem in problems(plain):
         outcome.fail(problem)
@@ -239,7 +261,7 @@ def traced(seed: int) -> Outcome:
         profile = KernelProfile()
         storm.env.hooks = profile
         wall = storm.buildup()
-        wall += storm.churn(TRACED_COMPLETIONS)[1]
+        wall += storm.churn(CHURN_COMPLETIONS)[1]
     outcome.attempted += storm.arrivals
     for problem in problems(storm) + check_self_times(probe.clock, wall):
         outcome.fail(problem)

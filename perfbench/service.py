@@ -8,9 +8,15 @@ thread polls each accepted job until it is terminal and scrapes
 latency is timed from the moment its request was due, which charges a
 stall to every request queued behind it.
 
-The run has two phases: the reference rate, where every latency is
-sampled, then a short rate ladder that finds the highest rate whose
-submit latency meets :data:`SUBMIT_LIMIT_S` with nothing refused.
+The run is a few identical rounds, each on a freshly started server
+with the same seed: the reference rate, where every latency is
+sampled, then a closed-loop phase, where one connection submits back to
+back and the accepted jobs per second are the capacity.  The latencies
+are the best of the rounds, job by job, and the capacity the best
+round's (:func:`common.best_of`).  The last round's server then climbs
+a short rate ladder, starting below that capacity, that finds the
+highest rate whose submit latency meets :data:`SUBMIT_LIMIT_S` with
+nothing refused.
 """
 
 from __future__ import annotations
@@ -29,19 +35,23 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from common import Outcome, peak_rss_mib, percentile, tail
+from common import Outcome, best_of, percentile, tail
 from layers import ratio
 
 CHILD = Path(__file__).with_name("service_child.py")
 
 #: Jobs per second in the reference phase (no request may be refused).
 REFERENCE_RATE = 40.0
-#: Share of the run's seconds spent at the reference rate.
-REFERENCE_SHARE = 0.4
-#: First ladder rate, jobs per second, and the factor between rates
-#: until one misses the limit.
-LADDER_START = 150.0
-LADDER_GROWTH = 1.3
+#: Seconds of each round's reference phase (120 jobs, a p90 tail) and
+#: closed-loop phase.
+REFERENCE_S = 3.0
+CLOSED_LOOP_S = 2.0
+#: Share of the run's seconds left to the ladder, after the rounds.
+LADDER_SHARE = 0.2
+#: First ladder rate, as a share of the closed-loop capacity, and the
+#: factor between rates until one misses the limit.
+LADDER_START = 0.75
+LADDER_GROWTH = 1.2
 #: Seconds each ladder rate is held.
 LADDER_STEP_S = 1.5
 #: Submit-latency limit a sustained rate must meet at its tail.
@@ -56,8 +66,6 @@ POLL_EACH_MAX = 20
 JOB_COMPUTE_HOURS = 0.02
 #: Wall seconds to wait for the last accepted jobs to finish.
 DRAIN_TIMEOUT_S = 60.0
-#: Server start-ups timed per run for ``setup_s`` (median reported).
-SETUP_REPEATS = 3
 #: Per-request socket timeout, seconds.
 REQUEST_TIMEOUT_S = 10.0
 
@@ -180,7 +188,8 @@ class Load:
         self.lock = threading.Lock()
         #: job id -> due time of its submission, until seen terminal.
         self.outstanding: Dict[str, float] = {}
-        self.job_latencies: List[float] = []
+        #: due time of a sampled job's submission -> its job latency.
+        self.job_latencies: Dict[float, float] = {}
         self.final: Dict[str, str] = {}
         self.scrape_latencies: List[float] = []
         self.backlog_max = 0.0
@@ -223,6 +232,20 @@ class Load:
             self.attempted += len(samples)
         return samples
 
+    def closed_loop(self, seconds: float, sites: List[str]) -> float:
+        """Submit back to back for ``seconds``; returns the accepted
+        jobs per second."""
+        started = perf_counter()
+        sent = accepted = 0
+        while perf_counter() - started < seconds:
+            sent += 1
+            if self.submit(perf_counter(), self.rng.choice(sites)) == 202:
+                accepted += 1
+        elapsed = perf_counter() - started
+        with self.lock:
+            self.attempted += sent
+        return accepted / elapsed
+
     def watch(self) -> None:
         """Poll outstanding jobs and scrape ``/metrics`` on schedule."""
         next_scrape = perf_counter()
@@ -237,8 +260,8 @@ class Load:
                 if len(pending) > POLL_EACH_MAX:
                     self.poll_all()
                 else:
-                    for job_id, due in pending:
-                        self.poll(job_id, due)
+                    for job_id, _ in pending:
+                        self.poll(job_id)
             time.sleep(POLL_INTERVAL_S)
 
     def scrape(self, due: float) -> None:
@@ -259,7 +282,7 @@ class Load:
             self.scrape_latencies.append(latency)
             self.backlog_max = max(self.backlog_max, backlog)
 
-    def poll(self, job_id: str, due: float) -> None:
+    def poll(self, job_id: str) -> None:
         try:
             code, body = request(self.base, "GET", f"/jobs/{job_id}")
         except OSError as error:
@@ -268,10 +291,10 @@ class Load:
         if code != 200:
             self.error(f"GET /jobs/{job_id} -> {code}")
             return
-        self.settle(job_id, json.loads(body)["status"], due)
+        self.settle(job_id, json.loads(body)["status"])
 
     def poll_all(self) -> None:
-        """One ``GET /jobs`` for a large backlog (no latency samples)."""
+        """One ``GET /jobs`` for a large backlog."""
         try:
             code, body = request(self.base, "GET", "/jobs")
         except OSError as error:
@@ -281,20 +304,20 @@ class Load:
             self.error(f"GET /jobs -> {code}")
             return
         for job in json.loads(body)["jobs"]:
-            self.settle(job["job_id"], job["status"], None)
+            self.settle(job["job_id"], job["status"])
 
-    def settle(self, job_id: str, status: str, due: Optional[float]
-               ) -> None:
+    def settle(self, job_id: str, status: str) -> None:
         """Book a terminal status (and its latency, when sampling)."""
         if status not in TERMINAL:
             return
         seen = perf_counter()
         with self.lock:
-            if self.outstanding.pop(job_id, None) is None:
+            due = self.outstanding.pop(job_id, None)
+            if due is None:
                 return
             self.final[job_id] = status
-            if self.sample_jobs and due is not None:
-                self.job_latencies.append(seen - due)
+            if self.sample_jobs:
+                self.job_latencies[due] = seen - due
 
     def drain(self, timeout: float) -> int:
         """Wait for outstanding jobs; returns how many never finished."""
@@ -309,12 +332,12 @@ class Load:
             return len(self.outstanding)
 
 
-def ladder(load: Load, sites: List[str], seconds: float
+def ladder(load: Load, sites: List[str], seconds: float, start: float
            ) -> Tuple[float, List[str]]:
     """The highest rate sustained, and one row per step tried.
 
-    Rates climb by :data:`LADDER_GROWTH` from :data:`LADDER_START`
-    until a step misses, then the rest of the budget bisects between
+    Rates climb by :data:`LADDER_GROWTH` from ``start`` until a step
+    misses, then the rest of the budget bisects between
     the last rate held and the lowest that missed.  A miss counts only
     when a retest of the same rate misses too, so one slow second of a
     shared host does not cap the estimate.  The result is interpolated
@@ -324,7 +347,7 @@ def ladder(load: Load, sites: List[str], seconds: float
     steps: List[Tuple[float, bool, float]] = []
     budget = perf_counter() + seconds
     held, missed = 0.0, None
-    rate = LADDER_START
+    rate = start
     retesting = False
     load.polling.clear()
     while perf_counter() + LADDER_STEP_S <= budget:
@@ -378,26 +401,96 @@ def knee(steps: List[Tuple[float, bool, float]], limit: float) -> float:
     return low_rate + (high_rate - low_rate) * min(1.0, max(0.0, share))
 
 
-def run(seed: int, seconds: float, trace: bool) -> Outcome:
-    outcome = Outcome()
-    setups = []
-    for _ in range(SETUP_REPEATS - 1):
-        child = Child(seed, trace)
-        setups.append(child.setup_s)
-        child.stop()
-    child = Child(seed, trace)
-    setups.append(child.setup_s)
-    try:
-        report, load, reference, sustained, rows = drive(child, seed,
-                                                         seconds)
-    except BaseException:
-        child.kill()
-        raise
+@dataclass
+class Round:
+    """What one round measured on its own server."""
 
-    outcome.attempted = load.attempted
+    setup_s: float
+    report: dict
+    load: Load
+    reference: List[Sample]
+    capacity: float
+    sustained: float
+    rows: List[str]
+
+
+def run(seed: int, seconds: float, trace: bool) -> Outcome:
+    rounds: List[Round] = []
+    deadline = perf_counter() + seconds * (1 - LADDER_SHARE)
+    round_s = 0.0
+    while True:
+        started = perf_counter()
+        # The last round, the one that also climbs the ladder, is the
+        # one after which not even half of another round would fit.
+        last = trace or deadline - started < 1.5 * round_s
+        rounds.append(one_round(seed, trace,
+                                seconds * LADDER_SHARE if last else 0.0))
+        if last:
+            break
+        round_s = perf_counter() - started
+    outcome = Outcome()
+    for done in rounds:
+        check(done, outcome)
+    last = rounds[-1]
+    if last.sustained <= 0:
+        outcome.fail("validity: no ladder rate was sustained")
+    if not outcome.correct:
+        return outcome
+
+    lateness = [s.lateness for done in rounds for s in done.reference]
+    if trace:
+        metrics = last.report["layers"]
+        for problem in last.report["self_time_problems"]:
+            outcome.fail(problem)
+        metrics["server.backlog_max"] = last.load.backlog_max
+        metrics["loadgen.lateness_p99_s"] = percentile(lateness, 99)
+        for name, value in metrics.items():
+            outcome.put(name, value, "")
+        return outcome
+
+    submit = best_of([[s.latency for s in done.reference]
+                      for done in rounds])
+    jobs = best_of([[done.load.job_latencies[s.due] for s in done.reference]
+                    for done in rounds])
+    scrapes = [latency for done in rounds
+               for latency in done.load.scrape_latencies]
+    submit_p, submit_tail, _ = tail(submit)
+    job_p, job_tail, job_n = tail(jobs)
+    outcome.detail("rounds", len(rounds), "count")
+    outcome.detail("submit_latency_p50_s", percentile(submit, 50), "s")
+    outcome.detail(f"submit_latency_p{submit_p:g}_s", submit_tail, "s")
+    outcome.detail("job_latency_p50_s", percentile(jobs, 50), "s")
+    outcome.detail(f"job_latency_p{job_p:g}_s", job_tail, "s")
+    outcome.detail("job_samples", job_n, "count")
+    outcome.detail("sustained_jobs_per_s", last.sustained, "1/s")
+    outcome.detail("scrape_latency_p50_s", percentile(scrapes, 50), "s")
+    outcome.detail("lateness_p99_s", percentile(lateness, 99), "s")
+    outcome.detail("sim_hours_per_s",
+                   last.report["sim_seconds"] / 3600.0
+                   / last.report["wall_s"], "sim-h/s")
+    outcome.detail("server_backlog_max",
+                   max(done.load.backlog_max for done in rounds), "count")
+    outcome.put("setup_s", percentile([done.setup_s for done in rounds], 50),
+                "s")
+    outcome.put("peak_rss_mib",
+                max(done.report["peak_rss_mib"] for done in rounds), "MiB")
+    outcome.put("ok_frac", 1.0 - ratio(outcome.failed, outcome.attempted),
+                "frac")
+    outcome.put("throughput_per_s",
+                max(done.capacity for done in rounds), "1/s")
+    outcome.put("latency_ms", percentile(jobs, 50) * 1e3, "ms")
+    outcome.put("latency_tail_ms", job_tail * 1e3, "ms")
+    print("\n".join(f"  ladder {row}" for row in last.rows))
+    return outcome
+
+
+def check(done: Round, outcome: Outcome) -> None:
+    """Count one round's operations and book its failures."""
+    load, report = done.load, done.report
+    outcome.attempted += load.attempted
     for problem in load.errors:
         outcome.fail(problem)
-    for sample in reference:
+    for sample in done.reference:
         if sample.result != 202:
             outcome.fail(f"reference rate: POST /jobs -> {sample.result}")
     not_completed = {job_id: status for job_id, status in load.final.items()
@@ -412,65 +505,40 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
     if accepted != len(load.final):
         outcome.fail(f"{accepted} jobs accepted but {len(load.final)} "
                      f"seen terminal")
-    if sustained <= 0:
-        outcome.fail("validity: no ladder rate was sustained")
-
-    submit = [s.latency for s in reference]
-    lateness = [s.lateness for s in reference]
-    jobs = load.job_latencies
-    if trace:
-        metrics = report["layers"]
-        for problem in report["self_time_problems"]:
-            outcome.fail(problem)
-        metrics["server.backlog_max"] = load.backlog_max
-        metrics["loadgen.lateness_p99_s"] = percentile(lateness, 99)
-        for name, value in metrics.items():
-            outcome.put(name, value, "")
-        return outcome
-
-    submit_p, submit_tail, _ = tail(submit)
-    job_p, job_tail, job_n = tail(jobs)
-    outcome.detail("submit_latency_p50_s", percentile(submit, 50), "s")
-    outcome.detail(f"submit_latency_p{submit_p:g}_s", submit_tail, "s")
-    outcome.detail("job_latency_p50_s", percentile(jobs, 50), "s")
-    outcome.detail(f"job_latency_p{job_p:g}_s", job_tail, "s")
-    outcome.detail("job_samples", job_n, "count")
-    outcome.detail("sustained_jobs_per_s", sustained, "1/s")
-    outcome.detail("scrape_latency_p50_s",
-                   percentile(load.scrape_latencies, 50), "s")
-    outcome.detail("lateness_p99_s", percentile(lateness, 99), "s")
-    outcome.detail("sim_hours_per_s",
-                   report["sim_seconds"] / 3600.0 / report["wall_s"],
-                   "sim-h/s")
-    outcome.detail("server_backlog_max", load.backlog_max, "count")
-    outcome.put("setup_s", sorted(setups)[len(setups) // 2], "s")
-    outcome.put("peak_rss_mib", max(peak_rss_mib(), report["peak_rss_mib"]),
-                "MiB")
-    outcome.put("ok_frac", 1.0 - ratio(outcome.failed, outcome.attempted),
-                "frac")
-    outcome.put("throughput_per_s", sustained, "1/s")
-    outcome.put("latency_p50_ms", percentile(jobs, 50) * 1e3, "ms")
-    outcome.put("latency_tail_ms", job_tail * 1e3, "ms")
-    print("\n".join(f"  ladder {row}" for row in rows))
-    return outcome
 
 
-def drive(child: Child, seed: int, seconds: float):
-    """Reference phase, ladder, drain; then stop the server."""
+def one_round(seed: int, trace: bool, ladder_s: float) -> Round:
+    """One round on a fresh server, which is stopped and reaped on
+    every path out."""
+    child = Child(seed, trace)
+    try:
+        return drive(child, seed, ladder_s)
+    except BaseException:
+        child.kill()
+        raise
+
+
+def drive(child: Child, seed: int, ladder_s: float) -> Round:
+    """Reference phase, closed loop, then the ladder for ``ladder_s``
+    (if any); drain, then stop the server."""
     _, body = request(child.base, "GET", "/status")
     sites = sorted(json.loads(body)["sites"])
     load = Load(child.base, seed)
     watcher = threading.Thread(target=load.watch, name="perfbench-watch")
     watcher.start()
+    sustained, rows = 0.0, []
     try:
-        reference = load.phase(REFERENCE_RATE, seconds * REFERENCE_SHARE,
-                               sites)
+        reference = load.phase(REFERENCE_RATE, REFERENCE_S, sites)
         unfinished = load.drain(DRAIN_TIMEOUT_S)
         server_rss = child.peak_rss_mib()
         load.sample_jobs = False
-        sustained, rows = ladder(load, sites,
-                                 seconds * (1 - REFERENCE_SHARE))
+        load.polling.clear()
+        capacity = load.closed_loop(CLOSED_LOOP_S, sites)
         unfinished += load.drain(DRAIN_TIMEOUT_S)
+        if ladder_s > 0:
+            sustained, rows = ladder(load, sites, ladder_s,
+                                     LADDER_START * capacity)
+            unfinished += load.drain(DRAIN_TIMEOUT_S)
     finally:
         load.stopping.set()
         watcher.join()
@@ -478,4 +546,5 @@ def drive(child: Child, seed: int, seconds: float):
         load.error(f"{unfinished} accepted job(s) never finished")
     report = child.stop()
     report["peak_rss_mib"] = server_rss
-    return report, load, reference, sustained, rows
+    return Round(child.setup_s, report, load, reference, capacity,
+                 sustained, rows)

@@ -18,8 +18,8 @@ BENCH = HERE.parent
 ROOT = BENCH.parent
 sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
-from common import (percentile, samples_beyond, tail,  # noqa: E402
-                    tail_percentile, valid_name)
+from common import (best_of, percentile, samples_beyond,  # noqa: E402
+                    tail, tail_percentile, valid_name)
 from layers import SpanClock, per_layer_names  # noqa: E402
 from service import OpenLoop  # noqa: E402
 
@@ -91,6 +91,21 @@ def test_percentile_interpolates_between_ranks():
     assert percentile([0.0, 10.0], 25) == 2.5
     with pytest.raises(ValueError):
         percentile([], 50)
+
+
+# -- best of repeats ---------------------------------------------------------
+
+
+def test_best_of_takes_each_steps_least_time_across_repeats():
+    repeats = [[1.0, 5.0, 3.0], [2.0, 4.0, 9.0], [1.5, 6.0, 2.5]]
+    assert best_of(repeats) == [1.0, 4.0, 2.5]
+
+
+def test_best_of_refuses_repeats_that_do_not_line_up():
+    with pytest.raises(ValueError):
+        best_of([[1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError):
+        best_of([])
 
 
 # -- self time over nested spans ---------------------------------------------
