@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -72,6 +73,10 @@ def main(argv=None) -> int:
         print(f"benchmark: no library sources at {SRC}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    # A termination request unwinds like an error, so every child
+    # process is still stopped and reaped on the way out.
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: sys.exit(128 + signum))
 
     if args.workload != "all":
         outcome = run_workload(args.workload, args.seed, args.seconds,
