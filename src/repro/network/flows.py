@@ -9,7 +9,7 @@ times reflect real contention rather than a fixed per-transfer rate.
 
 The engine is the costly path of the whole simulation.  Rate
 recomputation happens only on flow arrival/completion/topology change,
-and two structural optimizations keep each recomputation cheap:
+and three structural optimizations keep each recomputation cheap:
 
 * **Heap-driven progressive filling** — :func:`max_min_rates` tracks
   per-link residual capacity and unfrozen-flow counts and pops the
@@ -24,7 +24,15 @@ and two structural optimizations keep each recomputation cheap:
   Flows on disjoint links keep their rates without being recomputed
   (max-min allocations of disjoint components are independent), which
   is what makes sparse fabrics — a WAN with traffic on unrelated site
-  pairs — cheap under churn.
+  pairs — cheap under churn.  On a shared fabric — a campus backbone
+  every cross-host flow crosses — the component is the whole flow
+  table, so the walk is skipped: when one perturbed link carries
+  every active flow, the flow table and link index are the component.
+* **Copy-free fill** — the fill numbers the component's links once,
+  in first-touch order, and keeps residuals and counts in lists
+  indexed by that number; it reads the link index's live member
+  buckets and counts unfrozen flows instead of copying lists and sets
+  per event.  The lazy settle arithmetic is inlined on the hot loops.
 
 The engine runs in one of two settle disciplines:
 
@@ -36,7 +44,9 @@ The engine runs in one of two settle disciplines:
   bit-for-bit against the reference.
 * **Lazy** (no observers — bare engines, e.g. benchmarks): a flow is
   only settled when its own rate changes or its component completes a
-  flow, so steady flows in quiet components are never touched.
+  flow, so steady flows in quiet components are never touched.  A
+  heap of completion ETAs drives the wakes; its stale entries are
+  dropped in bulk once they outnumber twice the live flows.
 
 Wake-ups use a token guard instead of cancellable timers, scheduled
 through the kernel's lightweight :meth:`~repro.sim.Environment.call_at`
@@ -61,7 +71,7 @@ import heapq
 import itertools
 import math
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim import Environment, Event
@@ -153,33 +163,40 @@ def max_min_rates(flows: List[Flow]) -> Dict[Flow, float]:
             rates[flow] = math.inf  # local copies are disk-bound, not ours
     if not active:
         return rates
-    residual: Dict[Link, float] = {}
-    members: Dict[Link, List[Flow]] = {}
-    counts: Dict[Link, int] = {}
-    order: Dict[Link, int] = {}
+    slots: Dict[Link, int] = {}
+    members: List[List[Flow]] = []
+    counts: List[int] = []
     for flow in active:
         for link in flow.links:
-            if link not in residual:
-                residual[link] = link.capacity
-                members[link] = []
-                counts[link] = 0
-                order[link] = len(order)
-            members[link].append(flow)
-            counts[link] += 1
-    _progressive_fill(rates, set(active), residual, members, counts, order)
+            slot = slots.get(link)
+            if slot is None:
+                slot = slots[link] = len(members)
+                members.append([])
+                counts.append(0)
+            members[slot].append(flow)
+            counts[slot] += 1
+    _progressive_fill(rates, len(active), slots, members, counts)
     return rates
 
 
 def _progressive_fill(
     rates: Dict[Flow, float],
-    unfrozen: set,
-    residual: Dict[Link, float],
-    members: Dict[Link, List[Flow]],
-    counts: Dict[Link, int],
-    order: Dict[Link, int],
+    unfrozen: int,
+    slots: Dict[Link, int],
+    members: List[Iterable[Flow]],
+    counts: List[int],
 ) -> None:
     """Heap-driven freezing core shared by :func:`max_min_rates` and
-    the engine's index-backed fast path.  Mutates every argument.
+    the engine's index-backed fast path.
+
+    ``slots`` numbers the links in first-touch order (a flow's links
+    in order, flows in id order); that number is both the tie-break
+    and the index into the per-link lists: ``members`` (iterated only,
+    so the engine passes its live link-index bucket views uncopied),
+    ``counts`` of unfrozen traversals (mutated), and the residual
+    capacities built here.  ``unfrozen`` counts the flows still to
+    freeze.  A flow is frozen once it has an entry in ``rates``, so
+    callers pass ``rates`` holding no member flow yet.
 
     Heap hygiene: only share *decreases* are pushed eagerly.  A link
     whose share grew keeps its old (now too-small) entry; that entry
@@ -189,34 +206,36 @@ def _progressive_fill(
     an entry no larger than it — while the usual case (freezing a
     bottleneck *raises* its neighbours' shares) costs no heap traffic
     at all.  ``floor`` tracks the smallest live entry per link.
+    Member and touched-link iteration order is free: one freezing
+    round charges the same share to every hop, and the heap pops the
+    same entries in whatever order they were pushed.
     """
-    heap: List[Tuple[float, int, Link]] = [
-        (residual[link] / counts[link] if residual[link] > 0.0 else 0.0,
-         seq, link)
-        for link, seq in order.items()
-    ]
+    residual = [link.capacity for link in slots]
+    floor = [room / count if room > 0.0 else 0.0
+             for room, count in zip(residual, counts)]
+    heap: List[Tuple[float, int]] = list(zip(floor, range(len(floor))))
     heapq.heapify(heap)
-    floor: Dict[Link, float] = {entry[2]: entry[0] for entry in heap}
     pop = heapq.heappop
     push = heapq.heappush
     while heap and unfrozen:
-        share, seq, link = pop(heap)
-        count = counts[link]
+        share, slot = pop(heap)
+        count = counts[slot]
         if count <= 0:
             continue  # all traversals frozen since this entry was pushed
-        room = residual[link]
+        room = residual[slot]
         current = room / count if room > 0.0 else 0.0
         if current != share:
-            push(heap, (current, seq, link))
-            floor[link] = current
+            push(heap, (current, slot))
+            floor[slot] = current
             continue  # stale entry; revalidated share goes back in
         touched = {}
-        for flow in members[link]:
-            if flow not in unfrozen:
+        for flow in members[slot]:
+            if flow in rates:
                 continue
             rates[flow] = share
-            unfrozen.discard(flow)
+            unfrozen -= 1
             for hop in flow.links:
+                hop = slots[hop]
                 residual[hop] -= share
                 counts[hop] -= 1
                 touched[hop] = None
@@ -226,7 +245,7 @@ def _progressive_fill(
                 room = residual[hop]
                 current = room / count if room > 0.0 else 0.0
                 if current < floor[hop]:
-                    push(heap, (current, order[hop], hop))
+                    push(heap, (current, hop))
                     floor[hop] = current
 
 
@@ -752,17 +771,31 @@ class FlowNetwork:
         this walk disappear from them, which is exactly what the
         subsequent reallocation wants.
         """
-        if self._class_caps:
-            # A class cap is global state: the proportional rescale
-            # must see the class's *whole* aggregate rate, so while a
-            # cap is active every perturbation reallocates the full
-            # fabric (identically in the reference oracle, which is
-            # always global).  Values stay the live index buckets.
-            return dict(self._flows), dict(self._link_index)
+        index = self._link_index
+        everyone = len(self._flows)
+        # A class cap is global state: the proportional rescale must
+        # see the class's *whole* aggregate rate, so while a cap is
+        # active every perturbation reallocates the full fabric
+        # (identically in the reference oracle, which is always
+        # global).  And when one link a seed crosses carries every
+        # active flow — a shared campus backbone — the walk would
+        # reach every flow and every indexed link anyway, so skip it.
+        # Either way the values stay the live index buckets.
+        if self._class_caps or any(
+                len(index.get(link, ())) == everyone
+                for seed in seeds for link in seed.links):
+            return dict(self._flows), dict(index)
+        return self._walk(seeds)
+
+    def _walk(
+        self, seeds: List[Flow],
+    ) -> Tuple[Dict[int, Flow], Dict[Link, Dict[int, Flow]]]:
+        """:meth:`_component_of` by walking the link index outward
+        from ``seeds`` — the general path, for sparse fabrics."""
+        index = self._link_index
         component: Dict[int, Flow] = {}
         buckets: Dict[Link, Dict[int, Flow]] = {}
         pending = list(seeds)
-        index = self._link_index
         while pending:
             flow = pending.pop()
             for link in flow.links:
@@ -793,10 +826,9 @@ class FlowNetwork:
 
         Flows outside the component keep their rates untouched —
         recomputing them would reproduce the same values at the same
-        cost the old full restart paid on every event.  Per-link
-        member lists come straight out of the live link index
-        (``buckets``), which holds flows in id order — the same order
-        a from-scratch rebuild over the flow list would produce.
+        cost the old full restart paid on every event.  The fill
+        iterates the live link-index buckets (``buckets``) uncopied;
+        their member order does not affect the allocation.
         """
         self.reallocations += 1
         # Kernel hooks (repro.observability): time the recomputation
@@ -825,20 +857,16 @@ class FlowNetwork:
             else:
                 # Link tie-break order is first touch by a flow in id
                 # order, exactly as max_min_rates derives it.
-                order: Dict[Link, int] = {}
-                for flow in flows:
-                    for link in flow.links:
-                        if link not in order:
-                            order[link] = len(order)
-                members = {link: list(buckets[link].values())
-                           for link in order}
+                slots = dict(zip(
+                    dict.fromkeys(itertools.chain.from_iterable(
+                        [flow.links for flow in flows])),
+                    itertools.count()))
                 _progressive_fill(
                     rates,
-                    set(flows),
-                    {link: link.capacity for link in order},
-                    members,
-                    {link: len(bucket) for link, bucket in members.items()},
-                    order,
+                    len(flows),
+                    slots,
+                    [buckets[link].values() for link in slots],
+                    [len(buckets[link]) for link in slots],
                 )
         if self._observers:
             for flow in flows:
@@ -848,24 +876,53 @@ class FlowNetwork:
                 hooks.on_reallocate(len(flows), len(buckets),
                                     perf_counter() - started)
             return
+        # Lazy mode has no observers, so settling is bare arithmetic:
+        # the operations of _settle_flow and Flow.remaining, inlined.
         now = self.env.now
+        heap = self._eta_heap
+        push = heapq.heappush
         for flow in flows:
             rate = rates.get(flow, 0.0)
             if rate != flow.rate:
-                self._settle_flow(flow, now)
+                old_rate = flow.rate
+                elapsed = now - flow.settled_at
+                if elapsed > 0:
+                    if old_rate > 0:
+                        flow.transferred += min(
+                            old_rate * elapsed,
+                            max(0.0, flow.size - flow.transferred))
+                    flow.settled_at = now
                 flow.rate = rate
                 if rate > 0:
-                    flow.eta = now + flow.remaining / rate
-                    heapq.heappush(self._eta_heap,
-                                   (flow.eta, flow.flow_id, flow))
+                    eta = flow.eta = (
+                        now + max(0.0, flow.size - flow.transferred) / rate)
+                    push(heap, (eta, flow.flow_id, flow))
                 else:
                     flow.eta = math.inf
+        self._bound_eta_heap()
         self._arm_lazy_wake()
         if hooks is not None:
             hooks.on_reallocate(len(flows), len(buckets),
                                 perf_counter() - started)
 
     # -- wake scheduling ---------------------------------------------------
+
+    def _bound_eta_heap(self) -> None:
+        """Drop stale ETA entries in bulk once the heap outgrows
+        ``2 * live flows + 64``.
+
+        Every rate change pushes an entry and stale ones are otherwise
+        only dropped on reaching the top, so under churn the heap would
+        grow with the number of rate changes, not the population.  The
+        rebuild keeps exactly the entries :meth:`_arm_lazy_wake` would
+        accept, so wakes and completions are unchanged.
+        """
+        heap = self._eta_heap
+        live = self._flows
+        if len(heap) > 2 * len(live) + 64:
+            heap[:] = [entry for entry in heap
+                       if entry[1] in live and entry[2].eta == entry[0]]
+            heapq.heapify(heap)
 
     def _arm_sync_wake(self) -> None:
         """Schedule the next completion check from a full horizon scan.
@@ -930,12 +987,22 @@ class FlowNetwork:
                 self._arm_lazy_wake()
                 return
             survivors, buckets = self._component_of(due)
+            # _settle_flow inlined (no observers to notify).  Bytes are
+            # discrete: a sub-byte float residue means done.
+            finished = []
             for flow in survivors.values():
-                self._settle_flow(flow, now)
-            # Bytes are discrete: a sub-byte float residue means done.
-            # (Sorted ids = flow-table insertion order, as above.)
-            finished = [survivors[fid] for fid in sorted(survivors)
-                        if survivors[fid].remaining < 1.0]
+                elapsed = now - flow.settled_at
+                if elapsed > 0:
+                    rate = flow.rate
+                    if rate > 0:
+                        flow.transferred += min(
+                            rate * elapsed,
+                            max(0.0, flow.size - flow.transferred))
+                    flow.settled_at = now
+                if flow.size - flow.transferred < 1.0:
+                    finished.append(flow)
+            # Id order = flow-table insertion order, as above.
+            finished.sort(key=lambda flow: flow.flow_id)
         for flow in finished:
             survivors.pop(flow.flow_id, None)
             self._unregister(flow)

@@ -200,6 +200,60 @@ def test_lazy_settling_divergence_is_at_most_one_ulp():
         "tests to exact equality and update docs/performance.md")
 
 
+def run_fan_in_storm(engine_cls, seed, hosts=40, servers=4,
+                     population=150, completions=150):
+    """Constant-population fan-in onto a few hot servers, metered:
+    every completion is replaced, so one component of ~``population``
+    flows is reallocated at every event (the whole-fabric shortcut)."""
+    env = Environment()
+    lan = CampusLAN(backbone_capacity=gbps(40))
+    names = [f"h{i}" for i in range(hosts)]
+    for name in names:
+        lan.attach(name, access_capacity=gbps(1))
+    net = engine_cls(env, lan)
+    trace = []
+    net.add_observer(
+        lambda flow, delta: trace.append(("obs", env.now,
+                                          flow.flow_id, delta)))
+    rng = random.Random(seed)
+    hot, workstations = names[:servers], names[servers:]
+    issued = [0]
+
+    def submit():
+        src = rng.choice(workstations)
+        dst = rng.choice(hot) if rng.random() < 0.72 else src
+        while dst == src:
+            dst = rng.choice(workstations)
+        issued[0] += 1
+        done = net.transfer(src, dst, rng.uniform(2, 60) * MIB)
+        done.callbacks.append(record)
+
+    def record(event):
+        flow = event.value
+        trace.append(("done", env.now, flow.flow_id, flow.transferred))
+        if issued[0] < population + completions:
+            submit()
+
+    def arrive(env):
+        for _ in range(population):
+            submit()
+            yield env.timeout(rng.expovariate(1.0 / 0.01))
+
+    env.process(arrive(env))
+    env.run()
+    trace.append(("end", env.now, net.flows_completed, net.reallocations))
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fan_in_storm_trace_bit_identical(seed):
+    """The storm shape at small scale: one large component under
+    constant-population churn, bit-identical with observers."""
+    reference = run_fan_in_storm(ReferenceFlowNetwork, seed)
+    optimized = run_fan_in_storm(FlowNetwork, seed)
+    assert optimized == reference
+
+
 def run_wan_churn(engine_cls, seed):
     """Multi-component WAN traffic: disjoint site pairs plus a
     triangle, with sever/heal transitions killing in-flight flows."""

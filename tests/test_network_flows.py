@@ -1,5 +1,7 @@
 """Unit tests for the max-min fair flow engine."""
 
+import random
+
 import pytest
 
 from repro.errors import NetworkError
@@ -306,3 +308,70 @@ def test_instant_transfers_count_in_both_engines():
     fast = run(FlowNetwork)
     reference = run(ReferenceFlowNetwork)
     assert fast == reference == (4, 4)
+
+
+def fan_in_churn(net, env, hosts=40, servers=5, population=100,
+                 completions=500, seed=3):
+    """Constant-population fan-in churn: most flows land on a few hot
+    servers and every completion is replaced.  Returns the completion
+    trace and the largest ETA-heap size seen against its bound."""
+    rng = random.Random(seed)
+    names = [f"h{i}" for i in range(hosts)]
+    hot = names[:servers]
+    trace = []
+    overshoot = []
+
+    def submit():
+        src = rng.choice(names[servers:])
+        dst = rng.choice(hot) if rng.random() < 0.7 else rng.choice(names)
+        if dst == src:
+            dst = hot[0]
+        net.transfer(src, dst, rng.uniform(5, 200) * MIB).callbacks.append(
+            done)
+
+    def done(event):
+        trace.append((env.now, event.value.flow_id))
+        if len(trace) + population <= completions:
+            submit()
+
+    for _ in range(population):
+        submit()
+    while env.peek() != float("inf"):
+        env.step()
+        overshoot.append(len(net._eta_heap)
+                         - (2 * len(net.active_flows) + 64))
+    return trace, max(overshoot)
+
+
+def test_eta_heap_stays_bounded_without_changing_completions(monkeypatch):
+    """Lazy mode: stale ETA entries are dropped in bulk, so the heap
+    stays within ``2 * live + 64`` after every step, and the completion
+    trace equals that of an engine that never prunes."""
+    env, lan, net = make_net(hosts=[f"h{i}" for i in range(40)],
+                             backbone=gbps(20))
+    bounded, overshoot = fan_in_churn(net, env)
+    assert overshoot <= 0
+    assert len(bounded) == 500
+
+    monkeypatch.setattr(FlowNetwork, "_bound_eta_heap", lambda self: None)
+    env, lan, net = make_net(hosts=[f"h{i}" for i in range(40)],
+                             backbone=gbps(20))
+    unbounded, overshoot = fan_in_churn(net, env)
+    assert overshoot > 0  # the rebuild really ran above
+    assert bounded == unbounded  # same times, same order, bit-for-bit
+
+
+def test_whole_fabric_shortcut_matches_the_walk():
+    """On a LAN every cross-host flow crosses the backbone, so the
+    component lookup skips the walk; it must return what the walk
+    finds: the same flows and the same live link buckets."""
+    env, lan, net = make_net(hosts=[f"h{i}" for i in range(8)])
+    for i in range(12):
+        net.transfer(f"h{i % 8}", f"h{(3 * i + 1) % 8}", 100 * MIB)
+    seed = net.active_flows[5]
+    assert len(net._link_index[lan.backbone]) == len(net.active_flows)
+    component, buckets = net._component_of([seed])
+    walked, walked_buckets = net._walk([seed])
+    assert component == walked
+    assert buckets.keys() == walked_buckets.keys()
+    assert all(buckets[link] is walked_buckets[link] for link in buckets)

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint import IncrementalPlan
-from repro.network import CampusLAN, FlowNetwork, max_min_rates
+from repro.errors import NetworkError
+from repro.network import CampusLAN, FlowNetwork, WanTopology, max_min_rates
+from repro.network._reference import reference_max_min_rates
 from repro.network.flows import Flow
 from repro.sim import Environment
 from repro.storage import CheckpointRecord, CheckpointStore, Volume
-from repro.units import GIB, MIB, gbps
+from repro.units import GIB, MIB, gbps, mbps
 from repro.workloads import RESNET50
 
 
@@ -85,6 +87,73 @@ def test_max_min_rates_never_oversubscribe_links(pairs):
         assert load <= link.capacity * (1 + 1e-9)
     # Work conservation: every flow gets a strictly positive rate.
     assert all(rates[flow] > 0 for flow in flows)
+
+
+PERTURBATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("arrive"), st.integers(0, 6), st.integers(0, 6),
+                  st.floats(min_value=1.0, max_value=200 * MIB)),
+        st.tuples(st.just("kill"), st.integers(0, 6)),
+        st.tuples(st.just("migrate"), st.integers(0, 4)),
+        st.tuples(st.just("advance"),
+                  st.floats(min_value=0.0, max_value=2.0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("fabric", ("lan", "wan"))
+@given(steps=PERTURBATIONS)
+@settings(max_examples=40, deadline=None)
+def test_engine_rates_equal_reference_after_every_perturbation(fabric,
+                                                              steps):
+    """Without observers (lazy settling), after every arrival, kill,
+    route migration and stretch of progress, every live flow's rate
+    equals the reference allocator's over all live flows, exactly."""
+    env = Environment()
+    if fabric == "lan":
+        topology = CampusLAN(backbone_capacity=gbps(3))
+        sites = [f"h{i}" for i in range(7)]
+        for i, name in enumerate(sites):
+            topology.attach(name, access_capacity=gbps(1 + i % 3))
+        # One route per pair: migration re-pins flows in place.
+        edges = [(sites[0], sites[i]) for i in range(1, 6)]
+    else:
+        topology = WanTopology(default_capacity=mbps(400))
+        sites = ["a", "b", "c", "d", "e", "f", "g"]
+        edges = [("a", "b"), ("c", "d"), ("e", "f"), ("f", "g"),
+                 ("e", "g")]
+        for x, y in edges:
+            topology.connect(x, y)
+    net = FlowNetwork(env, topology)
+    for step in steps:
+        kind = step[0]
+        if kind == "arrive":
+            try:
+                net.transfer(sites[step[1]], sites[step[2]], step[3])
+            except NetworkError:
+                pass  # no live route between the two sites
+        elif kind == "kill":
+            net.kill_host_flows(sites[step[1]])
+        elif kind == "migrate":
+            x, y = edges[step[1]]
+            if fabric == "lan":
+                links = topology.path(x, y)
+            else:
+                if topology.is_severed(x, y):
+                    topology.heal(x, y)
+                else:
+                    topology.sever(x, y)
+                links = {topology.link(x, y), topology.link(y, x)}
+            net.migrate_flows_on(
+                links, lambda flow: topology.path(flow.src, flow.dst))
+        else:
+            env.run(until=env.now + step[1])
+        live = net.active_flows
+        expected = reference_max_min_rates(live)
+        assert [flow.rate for flow in live] == [expected[flow]
+                                                for flow in live]
 
 
 # -- checkpoint store ---------------------------------------------------------
