@@ -30,8 +30,8 @@ import time
 import pytest
 
 from repro.agent import BehaviorProfile
-from repro.core.partition import LinkOutage, PartitionSchedule
-from repro.federation import FederatedDeployment, FederationConfig
+from repro.federation import (FaultSchedule, FaultWindow, FederatedDeployment,
+                              FederationConfig)
 from repro.gpu import RTX_3090, RTX_4090
 from repro.network import CampusLAN, FlowNetwork
 from repro.network._reference import ReferenceFlowNetwork
@@ -170,9 +170,9 @@ def run_relay_chaos(campuses=8, sim_hours=3.0, jobs=40, seed=5,
         at = rng.uniform(10 * MINUTE, 40 * MINUTE)
         while at < sim_hours * HOUR * 0.7:
             duration = rng.uniform(3 * MINUTE, 20 * MINUTE)
-            outages.append(LinkOutage(a, b, at, duration))
+            outages.append(FaultWindow("link", (a, b), at, duration))
             at += duration + rng.uniform(10 * MINUTE, 50 * MINUTE)
-    fed.inject_partitions(PartitionSchedule(outages=tuple(outages)))
+    fed.inject_faults(FaultSchedule(windows=tuple(outages)))
     models = (RESNET50, UNET_SEG)
     for i in range(jobs):
         handle = handles[0] if i % 3 else handles[i % len(handles)]

@@ -3,15 +3,9 @@
 from .autosubmit import ResourceEstimate, auto_submit, estimate_resources
 from .failover import CoordinatorHA, FailoverConfig
 from .partition import (
-    ControlPlaneCrash,
-    ControlPlaneSchedule,
-    LinkOutage,
     ModelLayer,
-    PartitionSchedule,
     PipelinePlan,
     StageAssignment,
-    inject_control_plane_failures,
-    inject_partitions,
     make_transformer_layers,
     partition_pipeline,
 )
@@ -44,15 +38,9 @@ __all__ = [
     "auto_submit",
     "estimate_resources",
     "ResourceEstimate",
-    "ControlPlaneCrash",
-    "ControlPlaneSchedule",
-    "LinkOutage",
     "ModelLayer",
-    "PartitionSchedule",
     "PipelinePlan",
     "StageAssignment",
-    "inject_control_plane_failures",
-    "inject_partitions",
     "make_transformer_layers",
     "partition_pipeline",
     "Coordinator",

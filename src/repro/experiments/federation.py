@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..agent import BehaviorProfile
-from ..core.partition import ByzantineSchedule, PartitionSchedule
 from ..core.platform import GPUnionPlatform
-from ..federation import FederatedDeployment, FederationConfig
+from ..federation import (FaultSchedule, FaultWindow, FederatedDeployment,
+                          FederationConfig)
 from ..gpu.specs import A100_40GB, A6000, RTX_3090, RTX_4090
 from ..sim import RngStreams
 from ..sim.rng import derive_seed
@@ -488,7 +488,7 @@ def default_partition_schedule(horizon: float,
                                first_down: float = 30 * MINUTE,
                                downtime: float = 20 * MINUTE,
                                uptime: float = 30 * MINUTE,
-                               ) -> PartitionSchedule:
+                               ) -> FaultSchedule:
     """The experiment's flapping-WAN failure trace.
 
     Both of "north"'s links (to "south" and to "east") flap on the
@@ -500,10 +500,10 @@ def default_partition_schedule(horizon: float,
     inside the measured run.
     """
     until = max(first_down, horizon - 2 * HOUR)
-    south = PartitionSchedule.flapping(
-        "north", "south", first_down, downtime, uptime, until)
-    east = PartitionSchedule.flapping(
-        "north", "east", first_down, downtime, uptime, until)
+    south = FaultSchedule.flapping(
+        "link", ("north", "south"), first_down, downtime, uptime, until)
+    east = FaultSchedule.flapping(
+        "link", ("north", "east"), first_down, downtime, uptime, until)
     return south.merged(east)
 
 
@@ -565,13 +565,13 @@ def _run_federated_phase(
     seed: int,
     sites: Sequence[FederationSiteSpec],
     horizon: float,
-    schedule: Optional[PartitionSchedule] = None,
+    schedule: Optional[FaultSchedule] = None,
     federation_config: Optional[FederationConfig] = None,
 ) -> FederatedDeployment:
     fed = build_federation(seed=seed, sites=sites,
                            federation_config=federation_config)
     if schedule is not None:
-        fed.inject_partitions(schedule)
+        fed.inject_faults(schedule)
     for site in sites:
         _feed(fed.site(site.name).platform,
               site_demand(seed, site, horizon))
@@ -594,7 +594,7 @@ def run_partition_experiment(
     seed: int = 42,
     days: float = 1.5,
     sites: Sequence[FederationSiteSpec] = FEDERATION_SITES,
-    schedule: Optional[PartitionSchedule] = None,
+    schedule: Optional[FaultSchedule] = None,
     federation_config: Optional[FederationConfig] = None,
 ) -> PartitionResult:
     """Federated utilization under a flapping WAN link.
@@ -617,7 +617,7 @@ def run_partition_experiment(
                                     federation_config=federation_config)
     return PartitionResult(
         days=days,
-        outages_injected=len(schedule.outages),
+        outages_injected=len(schedule.windows),
         downtime_seconds=schedule.total_downtime,
         stable_by_site=stable.site_utilization(0, horizon),
         flapping_by_site=flapping.site_utilization(0, horizon),
@@ -742,8 +742,8 @@ def run_byzantine_experiment(
                                federation_config=federation_config)
         fed.enable_ledger_verification()
         if label == "byzantine":
-            fed.inject_byzantine(
-                ByzantineSchedule.single(byzantine_site, mode))
+            fed.inject_faults(FaultSchedule(
+                windows=(FaultWindow(mode, byzantine_site),)))
         for site in sites:
             _feed(fed.site(site.name).platform,
                   site_demand(seed, site, horizon))

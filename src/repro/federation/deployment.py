@@ -24,14 +24,6 @@ from typing import Dict, List, Optional
 
 from ..config import PlatformConfig
 from ..core.failover import CoordinatorHA, FailoverConfig
-from ..core.partition import (
-    ByzantineSchedule,
-    ControlPlaneSchedule,
-    PartitionSchedule,
-    inject_byzantine_behaviors,
-    inject_control_plane_failures,
-    inject_partitions,
-)
 from ..core.platform import GPUnionPlatform
 from ..network import (
     AutorateConfig,
@@ -48,6 +40,8 @@ from ..observability.trace import Tracer
 from ..sim import Environment
 from ..sim.rng import derive_seed
 from ..storage import StateVault, Volume
+from .adversary import BYZANTINE_MODES, ByzantineAdversary
+from .faults import CRASH_KINDS, FaultDriver, FaultSchedule, FaultWindow
 from .gateway import FederationGateway
 from .ledger import CreditLedger
 from .policy import FederationConfig
@@ -113,6 +107,19 @@ class FederatedDeployment:
         #: :meth:`enable_ledger_verification`.
         self.keyring = SiteKeyring(seed)
         self._verify_ledger = False
+        #: Runs :meth:`inject_faults` windows; each fault kind's on/off
+        #: pair is registered here, and nowhere else.
+        self.faults = FaultDriver(self.env)
+        faults = self.faults
+        faults.on("link", lambda w: self.wan.sever(*w.target),
+                  lambda w: self.wan.heal(*w.target))
+        faults.on("coordinator", lambda w: self.failover[w.target].crash(),
+                  lambda w: self.failover[w.target].restart())
+        faults.on("gateway", lambda w: self.site(w.target).gateway.crash(),
+                  lambda w: self.site(w.target).gateway.restart())
+        for mode in BYZANTINE_MODES:
+            faults.on(mode, lambda w: self._adversary(w.target).set(w.kind),
+                      lambda w: self._adversary(w.target).clear(w.kind))
 
     def add_campus(
         self,
@@ -198,12 +205,6 @@ class FederatedDeployment:
         """Restore the ``a``↔``b`` pair; gateways reconcile immediately."""
         return self.wan.heal(a, b)
 
-    def inject_partitions(self, schedule: PartitionSchedule) -> None:
-        """Drive a :class:`~repro.core.partition.PartitionSchedule`
-        of link outages against this federation's WAN on the shared
-        clock."""
-        inject_partitions(self.env, self.wan, schedule)
-
     # -- control-plane failure injection -----------------------------------
 
     def enable_failover(
@@ -216,9 +217,10 @@ class FederatedDeployment:
         primary/backup pair and attaches a durable
         :class:`~repro.storage.StateVault` to each gateway so its
         books survive a restart.  Idempotent per site: campuses added
-        after the first call get wired by calling this again.  Without
-        this call, crash injection is a no-op and the default fast
-        path is untouched (no vault writes, no HA bookkeeping).
+        after the first call get wired by calling this again.
+        :meth:`inject_faults` calls it for crash windows; without
+        either, the default fast path is untouched (no vault writes,
+        no HA bookkeeping).
         """
         for name, handle in self.sites.items():
             if name in self.failover:
@@ -229,27 +231,6 @@ class FederatedDeployment:
             volume = Volume(self.env, name=f"gateway-vault:{name}")
             handle.gateway.attach_vault(StateVault(volume))
         return self.failover
-
-    def crash_targets(self) -> Dict[tuple, object]:
-        """``(site, component)`` → crashable, for failure injection."""
-        targets: Dict[tuple, object] = {}
-        for name, handle in self.sites.items():
-            ha = self.failover.get(name)
-            if ha is not None:
-                targets[(name, "coordinator")] = ha
-            targets[(name, "gateway")] = handle.gateway
-        return targets
-
-    def inject_control_plane(self, schedule: ControlPlaneSchedule) -> None:
-        """Drive a :class:`~repro.core.partition.ControlPlaneSchedule`
-        of coordinator/gateway crash windows against this federation.
-
-        Call :meth:`enable_failover` first — coordinator windows need
-        the HA pair, and gateway restarts recover from the vault it
-        attaches.
-        """
-        inject_control_plane_failures(self.env, self.crash_targets(),
-                                      schedule)
 
     # -- Byzantine-robustness: share-chain verification --------------------
 
@@ -267,19 +248,6 @@ class FederatedDeployment:
         self._verify_ledger = True
         for handle in self.sites.values():
             handle.gateway.enable_ledger_verification(self.keyring)
-
-    def inject_byzantine(self, schedule: ByzantineSchedule) -> None:
-        """Drive a :class:`~repro.core.partition.ByzantineSchedule` of
-        misbehavior windows against this federation's gateways.
-
-        Implies :meth:`enable_ledger_verification` — an adversary
-        without verifiers is unobservable, and the chaos suites always
-        want both.
-        """
-        self.enable_ledger_verification()
-        targets = {name: handle.gateway
-                   for name, handle in self.sites.items()}
-        inject_byzantine_behaviors(self.env, targets, schedule)
 
     def chain_heights(self) -> Dict[str, int]:
         """Accepted share-chain entries per site's verified view
@@ -337,6 +305,46 @@ class FederatedDeployment:
             if at is not None:
                 out[name] = at
         return out
+
+    # -- fault injection -------------------------------------------------
+
+    def inject_faults(self, schedule: FaultSchedule) -> None:
+        """Drive a :class:`~repro.federation.faults.FaultSchedule` of
+        link outages, control-plane crashes and Byzantine windows
+        against this federation on the shared clock.
+
+        Raises ``ValueError`` — before injecting anything — for a
+        window naming a site or link the deployment lacks.  Crash
+        windows imply :meth:`enable_failover` (coordinator windows need
+        the HA pair; gateway restarts recover from the vault it
+        attaches), and Byzantine windows imply
+        :meth:`enable_ledger_verification` (an adversary without
+        verifiers is unobservable).
+        """
+        for window in schedule.windows:
+            self._check_fault_target(window)
+        for window in schedule.windows:
+            if window.kind in CRASH_KINDS:
+                self.enable_failover()
+            elif window.kind in BYZANTINE_MODES:
+                self.enable_ledger_verification()
+            self.faults.drive(window)
+
+    def _check_fault_target(self, window: FaultWindow) -> None:
+        if window.kind == "link":
+            a, b = window.target
+            if a not in self.sites or b not in self.wan.neighbours(
+                    a, include_down=True):
+                raise ValueError(f"{window.kind} window targets {a}<->{b}, "
+                                 f"which is not a link of this federation")
+        elif window.target not in self.sites:
+            raise ValueError(f"{window.kind} window targets unknown site "
+                             f"{window.target!r}")
+
+    def _adversary(self, site: str) -> ByzantineAdversary:
+        """The site's attached adversary, attaching one on first use."""
+        gateway = self.site(site).gateway
+        return gateway.adversary or ByzantineAdversary(gateway)
 
     # -- federation-wide measurement --------------------------------------
 

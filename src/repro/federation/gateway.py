@@ -58,13 +58,12 @@ from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Set,
                     Tuple)
 
 from ..core.messages import ResourceRequest
-from ..core.partition import BYZANTINE_MODES
 from ..core.platform import GPUnionPlatform
 from ..errors import NetworkError, SnapshotVersionError
 from ..monitoring.events import PlatformEvent
 from ..network import FlowNetwork, RpcError, RpcLayer, WanTopology
 from ..sim import Event, Interrupt, Process
-from ..units import GIB, HOUR
+from ..units import HOUR
 from ..workloads.training import JobStatus, TrainingJobSpec
 from .admission import AdmissionController
 from .ledger import CreditEntry, CreditLedger
@@ -92,6 +91,7 @@ from .sharechain import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..observability.trace import Tracer
     from ..storage import StateVault
+    from .adversary import ByzantineAdversary
 
 #: Flow categories the gateway stamps on its bulk payload pulls.  Both
 #: map to the *bulk* traffic class under the default
@@ -101,18 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: QoS engine keys on.
 CHECKPOINT_CATEGORY = "federation-checkpoint"
 DATASET_CATEGORY = "federation-dataset"
-
-#: Phantom capacity an ``over-report`` digest adds: enough idle GPUs
-#: (of an impossibly generous card class) to outscore any honest peer.
-OVER_REPORT_PHANTOM_GPUS = 8
-OVER_REPORT_PHANTOM_CARD = (128 * GIB, (9, 9))
-
-#: Factor an ``over-bill`` host inflates its chain-entry hours by.
-OVER_BILL_FACTOR = 4.0
-#: Factor an ``under-bill`` tamperer shrinks its own charges to.
-UNDER_BILL_FACTOR = 0.25
-#: GPU-hours per fabricated ``forge`` / ``free-ride`` entry.
-FORGED_ENTRY_HOURS = 5.0
 
 
 class FederationGateway:
@@ -237,11 +225,10 @@ class FederationGateway:
         #: receiver's reply is authoritative, so a peer that lost its
         #: view (crash) is automatically re-sent the gap.
         self._chain_acked: Dict[str, Dict[str, int]] = {}
-        #: Active Byzantine misbehavior modes (normally empty; driven
-        #: by an injected :class:`ByzantineSchedule`).
-        self.byzantine_modes: Set[str] = set()
-        self._byz_proc: Optional[Process] = None
-        self._byz_seq = 0
+        #: The lies this site tells (``None`` for an honest gateway):
+        #: a :class:`~repro.federation.adversary.ByzantineAdversary`
+        #: that only fault injection attaches.
+        self.adversary: Optional["ByzantineAdversary"] = None
 
         wan.add_site(site)
         wan.add_listener(self._on_wan_transition)
@@ -268,7 +255,8 @@ class FederationGateway:
                                         f"gossip:{self.site}")
         self._reconcile_proc = self._spawn(self._reconcile_loop(),
                                            f"reconcile:{self.site}")
-        self._maybe_start_byzantine_loop()
+        if self.adversary is not None:
+            self.adversary.resume()
 
     def _spawn(self, gen: Generator, name: str) -> Process:
         """Start a gateway-owned process, tracked for crash interrupts."""
@@ -406,18 +394,8 @@ class FederationGateway:
             except Interrupt:
                 return  # gateway crashed
             digest = self.local_digest()
-            if "over-report" in self.byzantine_modes:
-                # The gossip lie: phantom idle GPUs of a dream card
-                # class and a rosy queue.  Local admission stays
-                # honest (accepting work it cannot run would break
-                # exactly-once), so acting peers hit reason-less
-                # declines — the capacity-mismatch signature.
-                digest = replace(
-                    digest, queue_pressure=0,
-                    free_gpus=digest.free_gpus + OVER_REPORT_PHANTOM_GPUS,
-                    free_cards=digest.free_cards
-                    + (OVER_REPORT_PHANTOM_CARD,),
-                )
+            if self.adversary is not None:
+                digest = self.adversary.advertise(digest)
             now = self.env.now
             balance = self.ledger.balance(self.site)
             targets = [
@@ -484,8 +462,8 @@ class FederationGateway:
                 continue  # no chain sync with a quarantined peer
             delta = list(self.sharechain.entries_after(
                 self._chain_acked.get(peer, {})))
-            if "under-bill" in self.byzantine_modes:
-                delta = self._tamper_history(delta)
+            if self.adversary is not None:
+                delta = self.adversary.chain_delta(delta)
             if not delta:
                 continue
             try:
@@ -503,34 +481,6 @@ class FederationGateway:
                 # lost its view (crash) reports low heads and is
                 # re-sent the gap next tick.
                 self._chain_acked[peer] = dict(reply["heads"])
-
-    def _tamper_charge(self, signed: SignedEntry) -> SignedEntry:
-        """The ``under-bill`` tamper: shrink other sites' charges
-        against us while re-gossiping their entries.  We cannot
-        re-sign what we did not author, so the payload hash goes stale
-        — the receiving verifier's integrity check catches it.
-        """
-        entry = signed.entry
-        if signed.signer == self.site or entry.beneficiary != self.site:
-            return signed
-        return replace(signed, entry=replace(
-            entry, gpu_hours=entry.gpu_hours * UNDER_BILL_FACTOR))
-
-    def _tamper_history(self,
-                        delta: List[SignedEntry]) -> List[SignedEntry]:
-        """The full ``under-bill`` gossip payload: the tampered delta
-        plus rewritten copies of every charge against us the peer
-        already holds.  A cheater shrinking its bills must re-gossip
-        the rewritten history (peers already acked the genuine
-        entries, so the normal delta would never carry the lie)."""
-        delta = [self._tamper_charge(signed) for signed in delta]
-        sent = {(signed.signer, signed.seq) for signed in delta}
-        for signed in self.sharechain.accepted_entries():
-            if (signed.signer != self.site
-                    and signed.entry.beneficiary == self.site
-                    and (signed.signer, signed.seq) not in sent):
-                delta.append(self._tamper_charge(signed))
-        return delta
 
     def _handle_chain_entries(self, payload: dict):
         if self.sharechain is None:
@@ -669,95 +619,12 @@ class FederationGateway:
 
     def _chain_record(self, entry: CreditEntry) -> None:
         """Mirror a settlement this site just wrote into its signed
-        chain (the copy peers verify).
-
-        ``over-bill`` mode is exactly a divergence here: the shared
-        ledger keeps the true hours while the chain copy bills
-        inflated ones — the beneficiary's cross-check refutes the
-        chain copy against its own job budget.
-        """
+        chain (the copy peers verify)."""
         if self.sharechain is None:
             return
-        if ("over-bill" in self.byzantine_modes
-                and entry.kind == "donation" and entry.donor == self.site):
-            self.sharechain.forge(replace(
-                entry, gpu_hours=entry.gpu_hours * OVER_BILL_FACTOR))
+        if self.adversary is not None and self.adversary.record(entry):
             return
         self.sharechain.append(entry)
-
-    # -- Byzantine behavior injection -------------------------------------
-
-    def set_byzantine(self, mode: str) -> None:
-        """Begin one misbehavior mode (schedule-driven)."""
-        if mode not in BYZANTINE_MODES:
-            raise ValueError(f"unknown byzantine mode {mode!r}")
-        self.byzantine_modes.add(mode)
-        self.platform.events.emit("byzantine-mode-set", site=self.site,
-                                  mode=mode)
-        self._maybe_start_byzantine_loop()
-
-    def clear_byzantine(self, mode: str) -> None:
-        """End one misbehavior mode (the loop notices and exits)."""
-        self.byzantine_modes.discard(mode)
-        self.platform.events.emit("byzantine-mode-cleared",
-                                  site=self.site, mode=mode)
-
-    def _maybe_start_byzantine_loop(self) -> None:
-        if (self.sharechain is not None and self._byz_proc is None
-                and not self._crashed
-                and self.byzantine_modes & {"forge", "replay", "free-ride"}):
-            self._byz_proc = self._spawn(self._byzantine_loop(),
-                                         f"byzantine:{self.site}")
-
-    def _byzantine_loop(self) -> Generator:
-        """Fabricate chain entries while a forging mode is active.
-
-        Victims rotate round-robin over the sorted peer list so every
-        honest site eventually holds a lie its own records refute —
-        detection never depends on topology or traffic patterns.
-        """
-        tick = self.config.gossip_interval_min or self.config.gossip_interval
-        while True:
-            try:
-                yield self.env.timeout(tick)
-            except Interrupt:
-                self._byz_proc = None
-                return  # gateway crashed
-            active = self.byzantine_modes & {"forge", "replay", "free-ride"}
-            if not active:
-                self._byz_proc = None
-                return  # schedule window closed
-            peers = sorted(self.peers)
-            if not peers or self.sharechain is None:
-                continue
-            victim = peers[self._byz_seq % len(peers)]
-            self._byz_seq += 1
-            now = self.env.now
-            if "forge" in active:
-                # A donation for a job the victim never delegated.
-                self.sharechain.forge(CreditEntry(
-                    at=now, donor=self.site, beneficiary=victim,
-                    gpu_hours=FORGED_ENTRY_HOURS,
-                    job_id=f"byz-forge-{self.site}-{self._byz_seq}",
-                    kind="donation"))
-            if "free-ride" in active:
-                # A self-credited relay fee for a hop never carried —
-                # structurally invalid, rejected by every verifier.
-                self.sharechain.forge(CreditEntry(
-                    at=now, donor=self.site, beneficiary=victim,
-                    gpu_hours=(FORGED_ENTRY_HOURS
-                               * self.config.relay_fee_fraction),
-                    job_id=f"byz-fee-{self.site}-{self._byz_seq}",
-                    kind="relay-fee"))
-            if "replay" in active:
-                # Re-sign the oldest own entry at a fresh sequence
-                # number; with an empty chain, seed one to replay.
-                if self.sharechain.reissue(0) is None:
-                    self.sharechain.forge(CreditEntry(
-                        at=now, donor=self.site, beneficiary=victim,
-                        gpu_hours=FORGED_ENTRY_HOURS,
-                        job_id=f"byz-replay-{self.site}",
-                        kind="donation"))
 
     # -- WAN transitions --------------------------------------------------
 
@@ -1852,10 +1719,9 @@ class FederationGateway:
         self._pushed_balance.clear()
         self._scan_version = -1
         # Volatile chain-gossip floors die with the process; the chain
-        # view, trust state, and active misbehavior modes are durable
-        # operator state (the peers' replies rebuild the floors).
+        # view and trust state are durable operator state (the peers'
+        # replies rebuild the floors).
         self._chain_acked.clear()
-        self._byz_proc = None
         self.platform.events.emit("gateway-crashed", site=self.site)
 
     def restart(self) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..federation.adversary import CHAIN_VISIBLE_MODES
 from ..units import GIB
 from ..workloads.interactive import SessionOutcome
 from ..workloads.training import JobStatus
@@ -31,13 +32,6 @@ LEDGER_TOLERANCE = 1e-6
 #: quarantined by every honest verifying site (generous: fabrication,
 #: one chain-gossip hop, and the strike are all sub-interval).
 DETECTION_ROUNDS_BOUND = 10
-
-#: Misbehavior modes that self-propagate over chain gossip regardless
-#: of demand (a forged entry reaches every neighbour within a round).
-#: The other modes need real traffic to observe, so generic scenarios
-#: cannot bound their detection latency — the Byzantine chaos suite
-#: pins those with purpose-built topologies.
-CHAIN_VISIBLE_MODES = frozenset({"forge", "replay", "free-ride"})
 
 
 @dataclass
@@ -121,6 +115,8 @@ def _check_adversary_invariants(compiled: CompiledScenario) -> List[str]:
     interval = deployment.federation_config.gossip_interval
     bound = DETECTION_ROUNDS_BOUND * interval
     for adversary in scenario.adversaries:
+        # Other lies need real traffic to surface, so a generic
+        # scenario cannot bound their detection latency.
         if adversary.mode not in CHAIN_VISIBLE_MODES:
             continue
         start = adversary.start_hour * 3600.0

@@ -4,10 +4,11 @@ A :class:`ScenarioSpec` is the complete, serialisable description of
 one federated experiment: campuses with heterogeneous GPU generations,
 per-site diurnal demand (with a timezone offset, so a multi-campus
 federation's peaks roll around the clock), flash-crowd interactive
-bursts, spot-style provider churn, and optional WAN-outage /
-control-plane-crash chaos windows.  Everything an experiment script
-used to hand-code becomes data: build a spec in Python, round-trip it
-through ``to_dict``/``from_dict`` (or JSON), hand it to
+bursts, spot-style provider churn, and optional WAN-outage,
+control-plane-crash and Byzantine fault windows.  Everything an
+experiment script used to hand-code becomes data: build a spec in
+Python, round-trip it through ``to_dict``/``from_dict`` (or JSON),
+hand it to
 :func:`~repro.scenarios.compile.compile_scenario` for a wired
 :class:`~repro.federation.deployment.FederatedDeployment`, or to a
 :class:`~repro.scenarios.runner.ScenarioRunner` for a seed sweep.
@@ -24,8 +25,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..core.partition import BYZANTINE_MODES
+from ..federation.adversary import BYZANTINE_MODES
+from ..federation.faults import CRASH_KINDS, FaultWindow
 from ..gpu.specs import CATALOG
+from ..units import HOUR, MINUTE
 from ..workloads.models import MODEL_CATALOG
 
 
@@ -138,11 +141,39 @@ def _gpu_name(value: Any, path: str) -> str:
     return name
 
 
+class _Spec:
+    """Strict ``from_dict`` and plain-data ``to_dict`` for a spec class.
+
+    Each spec declares ``_FIELDS`` (key → parser, in serialisation
+    order) and ``_PATH`` (its name in error messages).
+    """
+
+    _FIELDS: Dict[str, Callable] = {}
+    _PATH = "spec"
+
+    @classmethod
+    def from_dict(cls, data: Any, path: Optional[str] = None):
+        """Parse a plain-dict spec, strictly."""
+        return _parse_mapping(data, path or cls._PATH, cls._FIELDS, cls)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A JSON-able dict that :meth:`from_dict` accepts unchanged."""
+        return {key: _plain(getattr(self, key)) for key in self._FIELDS}
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, _Spec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
 # -- sub-specs --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ChurnSpec:
+class ChurnSpec(_Spec):
     """Spot-style provider interruption habits (maps onto
     :class:`~repro.agent.behavior.BehaviorProfile`)."""
 
@@ -162,6 +193,7 @@ class ChurnSpec:
         if self.mean_downtime_minutes <= 0 or self.mean_rejoin_minutes <= 0:
             raise ValueError("downtime/rejoin means must be positive")
 
+    _PATH = "churn"
     _FIELDS = {
         "events_per_day": _parse_number,
         "p_scheduled": _parse_number,
@@ -171,23 +203,9 @@ class ChurnSpec:
         "mean_rejoin_minutes": _parse_number,
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "churn") -> "ChurnSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events_per_day": self.events_per_day,
-            "p_scheduled": self.p_scheduled,
-            "p_emergency": self.p_emergency,
-            "p_temporary": self.p_temporary,
-            "mean_downtime_minutes": self.mean_downtime_minutes,
-            "mean_rejoin_minutes": self.mean_rejoin_minutes,
-        }
-
 
 @dataclass(frozen=True)
-class ProviderSpec:
+class ProviderSpec(_Spec):
     """One provider host: a named server with a rack of GPUs."""
 
     name: str
@@ -206,6 +224,7 @@ class ProviderSpec:
                     f"unknown GPU generation {gpu!r}; known: "
                     f"{', '.join(sorted(CATALOG))}")
 
+    _PATH = "provider"
     _FIELDS = {
         "name": _parse_str,
         "gpus": _tuple_of(_gpu_name),
@@ -213,21 +232,9 @@ class ProviderSpec:
         "churn": _optional(ChurnSpec.from_dict),
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "provider") -> "ProviderSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "gpus": list(self.gpus),
-            "lab": self.lab,
-            "churn": self.churn.to_dict() if self.churn else None,
-        }
-
 
 @dataclass(frozen=True)
-class DemandSpec:
+class DemandSpec(_Spec):
     """Steady-state demand one campus's users generate.
 
     ``timezone_offset_hours`` shifts the diurnal peak: a federation
@@ -259,6 +266,7 @@ class DemandSpec:
             if weight <= 0:
                 raise ValueError("mix weights must be positive")
 
+    _PATH = "demand"
     _FIELDS = {
         "jobs_per_day": _parse_number,
         "sessions_per_day": _parse_number,
@@ -267,22 +275,9 @@ class DemandSpec:
         "job_mix": _tuple_of(_job_mix_entry),
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "demand") -> "DemandSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "jobs_per_day": self.jobs_per_day,
-            "sessions_per_day": self.sessions_per_day,
-            "timezone_offset_hours": self.timezone_offset_hours,
-            "mean_job_compute_hours": self.mean_job_compute_hours,
-            "job_mix": [list(pair) for pair in self.job_mix],
-        }
-
 
 @dataclass(frozen=True)
-class SiteSpec:
+class SiteSpec(_Spec):
     """One campus: providers plus the demand its users generate."""
 
     name: str
@@ -299,22 +294,12 @@ class SiteSpec:
             raise ValueError(f"duplicate provider names in site "
                              f"{self.name!r}: {sorted(names)}")
 
+    _PATH = "site"
     _FIELDS = {
         "name": _parse_str,
         "providers": _tuple_of(ProviderSpec.from_dict),
         "demand": DemandSpec.from_dict,
     }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "site") -> "SiteSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "providers": [p.to_dict() for p in self.providers],
-            "demand": self.demand.to_dict(),
-        }
 
     @property
     def gpu_count(self) -> int:
@@ -323,7 +308,7 @@ class SiteSpec:
 
 
 @dataclass(frozen=True)
-class FlashCrowdSpec:
+class FlashCrowdSpec(_Spec):
     """A burst of interactive sessions hitting one site at once.
 
     Models the "millions of users" demand shape: a lecture lets out, a
@@ -345,6 +330,7 @@ class FlashCrowdSpec:
         if self.spread_minutes <= 0 or self.mean_session_minutes <= 0:
             raise ValueError("spread/duration minutes must be positive")
 
+    _PATH = "flash_crowd"
     _FIELDS = {
         "site": _parse_str,
         "start_hour": _parse_number,
@@ -353,22 +339,9 @@ class FlashCrowdSpec:
         "mean_session_minutes": _parse_number,
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "flash_crowd") -> "FlashCrowdSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "site": self.site,
-            "start_hour": self.start_hour,
-            "sessions": self.sessions,
-            "spread_minutes": self.spread_minutes,
-            "mean_session_minutes": self.mean_session_minutes,
-        }
-
 
 @dataclass(frozen=True)
-class WanLinkSpec:
+class WanLinkSpec(_Spec):
     """A symmetric WAN link pair between two campuses."""
 
     a: str
@@ -384,6 +357,7 @@ class WanLinkSpec:
         if self.latency_ms is not None and self.latency_ms < 0:
             raise ValueError("latency_ms must be >= 0")
 
+    _PATH = "link"
     _FIELDS = {
         "a": _parse_str,
         "b": _parse_str,
@@ -391,20 +365,11 @@ class WanLinkSpec:
         "latency_ms": _optional(_parse_number),
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "link") -> "WanLinkSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"a": self.a, "b": self.b,
-                "capacity_gbps": self.capacity_gbps,
-                "latency_ms": self.latency_ms}
-
 
 @dataclass(frozen=True)
-class OutageSpec:
-    """One WAN-sever window (compiles to a
-    :class:`~repro.core.partition.LinkOutage`)."""
+class OutageSpec(_Spec):
+    """One WAN-sever window (a ``link``
+    :class:`~repro.federation.faults.FaultWindow`)."""
 
     a: str
     b: str
@@ -412,13 +377,14 @@ class OutageSpec:
     duration_minutes: float
 
     def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("an outage needs two distinct sites")
-        if self.start_hour < 0:
-            raise ValueError("start_hour must be >= 0")
-        if self.duration_minutes <= 0:
-            raise ValueError("duration_minutes must be positive")
+        self.window()
 
+    def window(self) -> FaultWindow:
+        """The fault window this spec declares."""
+        return FaultWindow("link", (self.a, self.b), self.start_hour * HOUR,
+                           self.duration_minutes * MINUTE)
+
+    _PATH = "outage"
     _FIELDS = {
         "a": _parse_str,
         "b": _parse_str,
@@ -426,19 +392,11 @@ class OutageSpec:
         "duration_minutes": _parse_number,
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "outage") -> "OutageSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"a": self.a, "b": self.b, "start_hour": self.start_hour,
-                "duration_minutes": self.duration_minutes}
-
 
 @dataclass(frozen=True)
-class CrashSpec:
-    """One control-plane crash window (compiles to a
-    :class:`~repro.core.partition.ControlPlaneCrash`)."""
+class CrashSpec(_Spec):
+    """One control-plane crash window (a ``coordinator`` or ``gateway``
+    :class:`~repro.federation.faults.FaultWindow`)."""
 
     site: str
     component: str  # "coordinator" | "gateway"
@@ -446,13 +404,16 @@ class CrashSpec:
     downtime_minutes: float
 
     def __post_init__(self):
-        if self.component not in ("coordinator", "gateway"):
+        if self.component not in CRASH_KINDS:
             raise ValueError("component must be 'coordinator' or 'gateway'")
-        if self.start_hour < 0:
-            raise ValueError("start_hour must be >= 0")
-        if self.downtime_minutes <= 0:
-            raise ValueError("downtime_minutes must be positive")
+        self.window()
 
+    def window(self) -> FaultWindow:
+        """The fault window this spec declares."""
+        return FaultWindow(self.component, self.site, self.start_hour * HOUR,
+                           self.downtime_minutes * MINUTE)
+
+    _PATH = "crash"
     _FIELDS = {
         "site": _parse_str,
         "component": _parse_str,
@@ -460,20 +421,12 @@ class CrashSpec:
         "downtime_minutes": _parse_number,
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "crash") -> "CrashSpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"site": self.site, "component": self.component,
-                "start_hour": self.start_hour,
-                "downtime_minutes": self.downtime_minutes}
-
 
 @dataclass(frozen=True)
-class AdversarySpec:
-    """One Byzantine misbehavior window (compiles to a
-    :class:`~repro.core.partition.ByzantineWindow`).
+class AdversarySpec(_Spec):
+    """One Byzantine misbehavior window (a
+    :class:`~repro.federation.faults.FaultWindow` whose kind is the
+    mode).
 
     Declaring any adversary turns share-chain ledger verification on
     for the whole scenario — an unobserved adversary is just noise.
@@ -481,7 +434,7 @@ class AdversarySpec:
     """
 
     site: str
-    mode: str  # one of repro.core.partition.BYZANTINE_MODES
+    mode: str  # one of repro.federation.adversary.BYZANTINE_MODES
     start_hour: float = 0.0
     duration_hours: Optional[float] = None
 
@@ -490,11 +443,15 @@ class AdversarySpec:
             raise ValueError(
                 f"mode must be one of {', '.join(BYZANTINE_MODES)}; "
                 f"got {self.mode!r}")
-        if self.start_hour < 0:
-            raise ValueError("start_hour must be >= 0")
-        if self.duration_hours is not None and self.duration_hours <= 0:
-            raise ValueError("duration_hours must be positive")
+        self.window()
 
+    def window(self) -> FaultWindow:
+        """The fault window this spec declares."""
+        return FaultWindow(self.mode, self.site, self.start_hour * HOUR,
+                           None if self.duration_hours is None
+                           else self.duration_hours * HOUR)
+
+    _PATH = "adversary"
     _FIELDS = {
         "site": _parse_str,
         "mode": _parse_str,
@@ -502,21 +459,12 @@ class AdversarySpec:
         "duration_hours": _optional(_parse_number),
     }
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "adversary") -> "AdversarySpec":
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"site": self.site, "mode": self.mode,
-                "start_hour": self.start_hour,
-                "duration_hours": self.duration_hours}
-
 
 # -- the scenario -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """A complete federated experiment, as data."""
 
     name: str
@@ -565,28 +513,26 @@ class ScenarioSpec:
             if pair in seen_pairs:
                 raise ValueError(f"duplicate link {pair[0]}<->{pair[1]}")
             seen_pairs.add(pair)
-        for crowd in self.flash_crowds:
-            check_site("flash_crowd", crowd.site)
-            if crowd.start_hour >= self.duration_hours:
-                raise ValueError(
-                    f"flash_crowd at hour {crowd.start_hour:g} starts "
-                    f"after the scenario ends ({self.duration_hours:g}h)")
         for outage in self.outages:
-            check_site("outage", outage.a)
-            check_site("outage", outage.b)
             if tuple(sorted((outage.a, outage.b))) not in seen_pairs:
                 raise ValueError(
                     f"outage severs {outage.a}<->{outage.b}, which is "
                     f"not a declared link")
-        for crash in self.crashes:
-            check_site("crash", crash.site)
-        for adversary in self.adversaries:
-            check_site("adversary", adversary.site)
-            if adversary.start_hour >= self.duration_hours:
-                raise ValueError(
-                    f"adversary at hour {adversary.start_hour:g} starts "
-                    f"after the scenario ends ({self.duration_hours:g}h)")
+        for owner, items in (("flash_crowd", self.flash_crowds),
+                             ("outage", self.outages),
+                             ("crash", self.crashes),
+                             ("adversary", self.adversaries)):
+            for item in items:
+                for name in ((item.a, item.b) if owner == "outage"
+                             else (item.site,)):
+                    check_site(owner, name)
+                # A window opening at or after the horizon never fires.
+                if item.start_hour >= self.duration_hours:
+                    raise ValueError(
+                        f"{owner} at hour {item.start_hour:g} starts "
+                        f"after the scenario ends ({self.duration_hours:g}h)")
 
+    _PATH = "scenario"
     _FIELDS = {
         "name": _parse_str,
         "duration_hours": _parse_number,
@@ -601,28 +547,6 @@ class ScenarioSpec:
         "trace": _parse_bool,
         "verify_ledger": _parse_bool,
     }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "scenario") -> "ScenarioSpec":
-        """Parse a plain-dict scenario, strictly."""
-        return _parse_mapping(data, path, cls._FIELDS, cls)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-able dict that :meth:`from_dict` accepts unchanged."""
-        return {
-            "name": self.name,
-            "duration_hours": self.duration_hours,
-            "sites": [site.to_dict() for site in self.sites],
-            "links": [link.to_dict() for link in self.links],
-            "flash_crowds": [c.to_dict() for c in self.flash_crowds],
-            "outages": [o.to_dict() for o in self.outages],
-            "crashes": [c.to_dict() for c in self.crashes],
-            "adversaries": [a.to_dict() for a in self.adversaries],
-            "max_forward_hops": self.max_forward_hops,
-            "admission_headroom_minutes": self.admission_headroom_minutes,
-            "trace": self.trace,
-            "verify_ledger": self.verify_ledger,
-        }
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

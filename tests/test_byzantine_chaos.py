@@ -30,8 +30,9 @@ happened, not a round count.
 
 import pytest
 
-from repro.core.partition import ByzantineSchedule
 from repro.federation import (
+    FaultSchedule,
+    FaultWindow,
     FederatedDeployment,
     FederationConfig,
     TrustState,
@@ -78,8 +79,8 @@ def _build(mode, seed, gpus):
         for b in names[i + 1:]:
             fed.connect(a, b)
     fed.enable_ledger_verification()
-    fed.inject_byzantine(ByzantineSchedule.single(
-        BYZ, mode, start=WINDOW_START.get(mode, 0.0)))
+    fed.inject_faults(FaultSchedule(windows=(
+        FaultWindow(mode, BYZ, start=WINDOW_START.get(mode, 0.0)),)))
     return fed, handles
 
 

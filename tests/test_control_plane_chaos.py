@@ -24,15 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agent import BehaviorProfile
 from repro.core.failover import FailoverConfig
-from repro.core.partition import (
-    ControlPlaneCrash,
-    ControlPlaneSchedule,
-    LinkOutage,
-    PartitionSchedule,
-)
 from repro.errors import SnapshotVersionError
 from repro.federation import (
     DelegationState,
+    FaultSchedule,
+    FaultWindow,
     FederatedDeployment,
     FederationConfig,
     GatewaySnapshot,
@@ -364,9 +360,9 @@ def _random_partitions(rng, pairs, chaos_until):
         while at < chaos_until:
             duration = min(rng.uniform(3 * MINUTE, 20 * MINUTE),
                            chaos_until - at)
-            outages.append(LinkOutage(a, b, at, duration))
+            outages.append(FaultWindow("link", (a, b), at, duration))
             at += duration + rng.uniform(10 * MINUTE, 60 * MINUTE)
-    return PartitionSchedule(outages=tuple(outages))
+    return FaultSchedule(windows=tuple(outages))
 
 
 def _random_crashes(rng, victims, chaos_until):
@@ -376,9 +372,9 @@ def _random_crashes(rng, victims, chaos_until):
         while at < chaos_until:
             downtime = min(rng.uniform(2 * MINUTE, 12 * MINUTE),
                            chaos_until - at)
-            crashes.append(ControlPlaneCrash(site, component, at, downtime))
+            crashes.append(FaultWindow(component, site, at, downtime))
             at += downtime + rng.uniform(30 * MINUTE, 90 * MINUTE)
-    return ControlPlaneSchedule(crashes=tuple(crashes))
+    return FaultSchedule(windows=tuple(crashes))
 
 
 def _chaos_run(seed):
@@ -412,13 +408,13 @@ def _chaos_run(seed):
     chaos_until = 8 * HOUR
     partitions = _random_partitions(
         rng, [("alpha", "bravo"), ("bravo", "charlie")], chaos_until)
-    fed.inject_partitions(partitions)
+    fed.inject_faults(partitions)
     crashes = _random_crashes(
         rng,
         [("alpha", "coordinator"), ("bravo", "coordinator"),
          ("bravo", "gateway"), ("charlie", "gateway")],
         chaos_until)
-    fed.inject_control_plane(crashes)
+    fed.inject_faults(crashes)
 
     jobs = []
 
@@ -478,8 +474,8 @@ def test_chaos_actually_engaged_the_machinery(chaos):
     """A chaos run whose schedule never killed anything mid-flight
     proves nothing: pin the mix."""
     fed, jobs, partitions, crashes = chaos
-    assert partitions.outages
-    assert crashes.crashes
+    assert partitions.windows
+    assert crashes.windows
     takeovers = sum(ha.takeovers for ha in fed.failover.values())
     restarts = sum(h.gateway.restarts for h in fed.sites.values())
     assert takeovers > 0
@@ -505,7 +501,7 @@ def test_any_crash_point_preserves_exactly_once(start, downtime, victim):
     site, component = victim
     fed, north, south = _pair(seed=17)
     blocker, job = _forced_forward(fed, north, victim_compute=1 * HOUR)
-    fed.inject_control_plane(
-        ControlPlaneSchedule.single(site, component, start, downtime))
+    fed.inject_faults(FaultSchedule(
+        windows=(FaultWindow(component, site, start, downtime),)))
     fed.run(until=36 * HOUR)
     _assert_invariants(fed, [blocker, job])

@@ -7,20 +7,16 @@ the backup takes over the shared durable state — adopting in-flight
 dispatches, finalizing completions that reported into the void, and
 requeuing the rest — without ever running a job twice.
 
-The :class:`ControlPlaneSchedule` machinery (crash windows as
-first-class injectable events, like link outages) is unit-tested here
-too; the federated chaos suite drives it end to end.
+Crash windows (``coordinator`` and ``gateway`` fault windows,
+injectable like link outages) are unit-tested here too; the federated
+chaos suite drives them end to end.
 """
 
 import pytest
 
 from repro import GPUnionPlatform, TrainingJobSpec
 from repro.core import CoordinatorHA, FailoverConfig
-from repro.core.partition import (
-    ControlPlaneCrash,
-    ControlPlaneSchedule,
-    inject_control_plane_failures,
-)
+from repro.federation import FaultSchedule, FaultWindow, FederatedDeployment
 from repro.gpu import RTX_3090
 from repro.observability.trace import Tracer
 from repro.sim import Environment
@@ -64,49 +60,51 @@ def test_failover_config_validation():
 
 def test_control_plane_crash_validation():
     with pytest.raises(ValueError):
-        ControlPlaneCrash("north", "router", 0.0, 1.0)
+        FaultWindow("router", "north", 0.0, 1.0)
     with pytest.raises(ValueError):
-        ControlPlaneCrash("north", "gateway", -1.0, 1.0)
+        FaultWindow("gateway", "north", -1.0, 1.0)
     with pytest.raises(ValueError):
-        ControlPlaneCrash("north", "gateway", 0.0, 0.0)
-    assert ControlPlaneCrash("north", "gateway", 10.0, 5.0).end == 15.0
+        FaultWindow("gateway", "north", 0.0, 0.0)
+    with pytest.raises(ValueError):
+        FaultWindow("coordinator", "", 0.0, 1.0)
+    assert FaultWindow("gateway", "north", 10.0).duration is None
 
 
 def test_control_plane_schedule_orders_and_queries():
-    late = ControlPlaneCrash("north", "gateway", 30.0, 5.0)
-    early = ControlPlaneCrash("south", "coordinator", 10.0, 20.0)
-    schedule = ControlPlaneSchedule(crashes=(late, early))
-    assert schedule.crashes == (early, late)
-    assert schedule.affecting("north") == (late,)
-    assert schedule.affecting("nowhere") == ()
+    late = FaultWindow("gateway", "north", 30.0, 5.0)
+    early = FaultWindow("coordinator", "south", 10.0, 20.0)
+    schedule = FaultSchedule(windows=(late, early))
+    assert schedule.windows == (early, late)
     assert schedule.total_downtime == 25.0
-    merged = schedule.merged(
-        ControlPlaneSchedule.single("north", "coordinator", 5.0, 1.0))
-    assert len(merged.crashes) == 3
-    assert merged.crashes[0].start == 5.0
+    outage = FaultWindow("link", ("north", "south"), 40.0, 1.0)
+    merged = schedule.merged(FaultSchedule(windows=(outage,)))
+    # Injection order: every link outage before any crash window.
+    assert merged.windows == (outage, early, late)
 
 
 def test_injector_drives_windows_and_skips_unknown_targets():
-    env = Environment()
-    log = []
+    fed = FederatedDeployment(seed=5)
+    north = fed.add_campus("north")
 
-    class Target:
-        def crash(self):
-            log.append(("crash", env.now))
+    def gateway_log():
+        return [(event.kind, event.timestamp)
+                for event in north.platform.events.all()
+                if event.kind.startswith("gateway-")]
 
-        def restart(self):
-            log.append(("restart", env.now))
-
-    schedule = ControlPlaneSchedule(crashes=(
-        ControlPlaneCrash("north", "gateway", 10.0, 5.0),
-        # No target registered for this one: silently skipped, so one
-        # schedule can be replayed against differently-shaped setups.
-        ControlPlaneCrash("ghost", "coordinator", 1.0, 1.0),
-    ))
-    inject_control_plane_failures(env, {("north", "gateway"): Target()},
-                                  schedule)
-    env.run(until=30.0)
-    assert log == [("crash", 10.0), ("restart", 15.0)]
+    # A window for a site the deployment lacks is an error, and the
+    # whole schedule is refused before anything is injected.
+    with pytest.raises(ValueError, match="ghost"):
+        fed.inject_faults(FaultSchedule(windows=(
+            FaultWindow("gateway", "north", 10.0, 5.0),
+            FaultWindow("coordinator", "ghost", 1.0, 1.0))))
+    fed.run(until=30.0)
+    assert gateway_log() == []
+    assert fed.failover == {}
+    fed.inject_faults(FaultSchedule(windows=(
+        FaultWindow("gateway", "north", 40.0, 5.0),)))
+    fed.run(until=60.0)
+    assert gateway_log() == [("gateway-crashed", 40.0),
+                             ("gateway-restarted", 45.0)]
 
 
 # -- leader crash / takeover -----------------------------------------------

@@ -218,13 +218,13 @@ def test_offer_during_partition_reads_as_decline_and_retries():
 # -- the acceptance scenario: flapping link, exactly-once ------------------
 
 def test_flapping_wan_link_completes_every_job_exactly_once():
-    from repro.core.partition import PartitionSchedule
+    from repro.federation import FaultSchedule
 
     fed, north, south = _two_campuses([RTX_3090], [RTX_4090] * 4)
-    schedule = PartitionSchedule.flapping(
-        "north", "south", first_down=150.0, downtime=5 * MINUTE,
+    schedule = FaultSchedule.flapping(
+        "link", ("north", "south"), first_down=150.0, downtime=5 * MINUTE,
         uptime=5 * MINUTE, until=3 * HOUR)
-    fed.inject_partitions(schedule)
+    fed.inject_faults(schedule)
     fed.run(until=100)
     jobs = [north.platform.submit_job(_job(compute=1 * HOUR))
             for _ in range(6)]
@@ -240,9 +240,9 @@ def test_flapping_wan_link_completes_every_job_exactly_once():
     assert fed.ledger.total() == pytest.approx(0.0)
     # The flapping actually happened.
     assert north.platform.events.count("wan-link-severed") == len(
-        schedule.outages)
+        schedule.windows)
     assert north.platform.events.count("wan-link-healed") == len(
-        schedule.outages)
+        schedule.windows)
 
 
 def test_transfer_on_severed_route_raises_wan_partition_error():

@@ -27,8 +27,8 @@ import pytest
 import repro.core.platform as platform_module
 import repro.federation.deployment as deployment_module
 from repro.agent import BehaviorProfile
-from repro.core.partition import LinkOutage, PartitionSchedule
-from repro.federation import FederatedDeployment, FederationConfig
+from repro.federation import (FaultSchedule, FaultWindow, FederatedDeployment,
+                              FederationConfig)
 from repro.gpu import RTX_3090, RTX_4090
 from repro.network import CampusLAN, FlowNetwork, WanTopology, max_min_rates
 from repro.network.flows import Flow
@@ -346,9 +346,11 @@ def run_federated_chaos(engine_cls, seed=7):
         )
         bravo.platform.add_behavior("b-ws1", churn)
         bravo.platform.add_behavior("b-ws2", churn)
-        fed.inject_partitions(PartitionSchedule(outages=(
-            LinkOutage("alpha", "bravo", 20 * MINUTE, 15 * MINUTE),
-            LinkOutage("bravo", "charlie", 45 * MINUTE, 10 * MINUTE),
+        fed.inject_faults(FaultSchedule(windows=(
+            FaultWindow("link", ("alpha", "bravo"),
+                        20 * MINUTE, 15 * MINUTE),
+            FaultWindow("link", ("bravo", "charlie"),
+                        45 * MINUTE, 10 * MINUTE),
         )))
         rng = random.Random(seed)
         models = (RESNET50, UNET_SEG)

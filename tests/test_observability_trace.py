@@ -335,17 +335,17 @@ def test_control_plane_chaos_keeps_span_trees_orphan_free():
     """Gateway crash/restart mid-forward and a coordinator takeover on
     the host campus: every trace stays a single rooted tree (the
     write-ahead intent carries the forward span across the restart)."""
-    from repro.core.partition import ControlPlaneCrash, ControlPlaneSchedule
+    from repro.federation import FaultSchedule, FaultWindow
     from repro.workloads import JobStatus
 
     fed, north, south = build_forwarding_pair(trace=True)
     fed.enable_failover()
-    fed.inject_control_plane(ControlPlaneSchedule(crashes=(
+    fed.inject_faults(FaultSchedule(windows=(
         # The origin gateway dies early in the forward fan-out and
         # again later; the host's coordinator leader dies in between.
-        ControlPlaneCrash("north", "gateway", 30.0, 120.0),
-        ControlPlaneCrash("south", "coordinator", 300.0, 600.0),
-        ControlPlaneCrash("north", "gateway", 20 * MINUTE, 5 * MINUTE),
+        FaultWindow("gateway", "north", 30.0, 120.0),
+        FaultWindow("coordinator", "south", 300.0, 600.0),
+        FaultWindow("gateway", "north", 20 * MINUTE, 5 * MINUTE),
     )))
     fed.run(until=12 * HOUR)
     assert north.gateway.restarts == 2

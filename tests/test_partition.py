@@ -124,76 +124,79 @@ def test_partition_properties(num_layers, num_gpus):
     assert plan.bottleneck >= total / capacity - 1e-9
 
 
-# -- network partitions: outage schedules ----------------------------------
+# -- network partitions: link-outage fault windows --------------------------
 
-from repro.core.partition import LinkOutage, PartitionSchedule, inject_partitions
-from repro.network import WanTopology
-from repro.sim import Environment
+from repro.federation import FaultSchedule, FaultWindow, FederatedDeployment
 
 
 def test_link_outage_validation():
     with pytest.raises(ValueError):
-        LinkOutage("a", "a", 0.0, 1.0)
+        FaultWindow("link", ("a", "a"), 0.0, 1.0)
     with pytest.raises(ValueError):
-        LinkOutage("a", "b", -1.0, 1.0)
+        FaultWindow("link", "ab", 0.0, 1.0)
     with pytest.raises(ValueError):
-        LinkOutage("a", "b", 0.0, 0.0)
-    outage = LinkOutage("b", "a", 5.0, 2.0)
-    assert outage.end == 7.0
-    assert outage.pair == ("a", "b")
+        FaultWindow("link", ("a", "b"), -1.0, 1.0)
+    with pytest.raises(ValueError):
+        FaultWindow("link", ("a", "b"), 0.0, 0.0)
+    outage = FaultWindow("link", ("b", "a"), 5.0, 2.0)
+    assert outage.target == ("a", "b")
+    assert (outage.start, outage.duration) == (5.0, 2.0)
 
 
 def test_flapping_schedule_is_periodic_and_bounded():
-    schedule = PartitionSchedule.flapping(
-        "a", "b", first_down=10.0, downtime=5.0, uptime=15.0, until=60.0)
-    starts = [o.start for o in schedule.outages]
+    schedule = FaultSchedule.flapping(
+        "link", ("a", "b"), first_down=10.0, downtime=5.0, uptime=15.0,
+        until=60.0)
+    starts = [o.start for o in schedule.windows]
     assert starts == [10.0, 30.0, 50.0]
-    assert all(o.duration == 5.0 for o in schedule.outages)
+    assert all(o.duration == 5.0 for o in schedule.windows)
+    assert all(o.target == ("a", "b") for o in schedule.windows)
     assert schedule.total_downtime == 15.0
-    assert schedule.affecting("b", "a") == schedule.outages
-    assert schedule.affecting("a", "c") == ()
     with pytest.raises(ValueError):
-        PartitionSchedule.flapping("a", "b", 0.0, 0.0, 1.0, 10.0)
+        FaultSchedule.flapping("link", ("a", "b"), 0.0, 0.0, 1.0, 10.0)
+
+
+def _linked_pair():
+    fed = FederatedDeployment(seed=3)
+    fed.add_campus("a")
+    fed.add_campus("b")
+    fed.connect("a", "b")
+    return fed
 
 
 def test_inject_partitions_drives_sever_and_heal():
-    env = Environment()
-    wan = WanTopology()
-    wan.connect("a", "b")
+    fed = _linked_pair()
     log = []
-    wan.add_listener(lambda ev, a, b: log.append((env.now, ev)))
-    schedule = PartitionSchedule.flapping(
-        "a", "b", first_down=10.0, downtime=5.0, uptime=15.0, until=40.0)
-    inject_partitions(env, wan, schedule)
-    env.run(until=12.0)
-    assert wan.is_severed("a", "b")
-    env.run(until=16.0)
-    assert not wan.is_severed("a", "b")
-    env.run(until=100.0)
+    fed.wan.add_listener(lambda ev, a, b: log.append((fed.env.now, ev)))
+    fed.inject_faults(FaultSchedule.flapping(
+        "link", ("a", "b"), first_down=10.0, downtime=5.0, uptime=15.0,
+        until=40.0))
+    fed.run(until=12.0)
+    assert fed.wan.is_severed("a", "b")
+    fed.run(until=16.0)
+    assert not fed.wan.is_severed("a", "b")
+    fed.run(until=100.0)
     assert log == [(10.0, "sever"), (15.0, "heal"),
                    (30.0, "sever"), (35.0, "heal")]
 
 
 def test_overlapping_outages_nest_on_injection():
-    env = Environment()
-    wan = WanTopology()
-    wan.connect("a", "b")
-    schedule = PartitionSchedule(outages=(
-        LinkOutage("a", "b", 10.0, 20.0),   # heals at 30
-        LinkOutage("a", "b", 15.0, 5.0),    # nested window, heals at 20
-    ))
-    inject_partitions(env, wan, schedule)
-    env.run(until=22.0)
+    fed = _linked_pair()
+    fed.inject_faults(FaultSchedule(windows=(
+        FaultWindow("link", ("a", "b"), 10.0, 20.0),  # heals at 30
+        FaultWindow("link", ("a", "b"), 15.0, 5.0),   # nested, ends at 20
+    )))
+    fed.run(until=22.0)
     # The nested window lifted at t=20, but the outer one holds.
-    assert wan.is_severed("a", "b")
-    env.run(until=31.0)
-    assert not wan.is_severed("a", "b")
+    assert fed.wan.is_severed("a", "b")
+    fed.run(until=31.0)
+    assert not fed.wan.is_severed("a", "b")
 
 
 def test_merged_schedules_combine_outages():
-    first = PartitionSchedule.flapping("a", "b", 0.0, 1.0, 9.0, 20.0)
-    second = PartitionSchedule.flapping("a", "c", 5.0, 1.0, 9.0, 20.0)
+    first = FaultSchedule.flapping("link", ("a", "b"), 0.0, 1.0, 9.0, 20.0)
+    second = FaultSchedule.flapping("link", ("a", "c"), 5.0, 1.0, 9.0, 20.0)
     merged = first.merged(second)
-    assert len(merged.outages) == len(first.outages) + len(second.outages)
-    assert merged.outages == tuple(
-        sorted(merged.outages, key=lambda o: (o.start, o.pair, o.duration)))
+    assert len(merged.windows) == len(first.windows) + len(second.windows)
+    assert merged.windows == tuple(
+        sorted(merged.windows, key=lambda o: (o.start, o.target, o.duration)))

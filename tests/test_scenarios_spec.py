@@ -6,6 +6,7 @@ import pytest
 
 from repro.scenarios import (
     ChurnSpec,
+    CrashSpec,
     DemandSpec,
     FlashCrowdSpec,
     OutageSpec,
@@ -167,6 +168,30 @@ def test_flash_crowd_past_horizon_rejected():
     with pytest.raises(ValueError, match="after the scenario ends"):
         ScenarioSpec(name="x", duration_hours=1.0, sites=(site("a"),),
                      flash_crowds=(FlashCrowdSpec("a", 2.0, 5),))
+
+
+def test_outage_past_horizon_rejected():
+    with pytest.raises(ValueError, match="outage at hour 1 starts after"):
+        ScenarioSpec(name="x", duration_hours=1.0,
+                     sites=(site("a"), site("b")),
+                     links=(WanLinkSpec("a", "b"),),
+                     outages=(OutageSpec("a", "b", 1.0, 10.0),))
+
+
+def test_crash_past_horizon_rejected():
+    with pytest.raises(ValueError, match="crash at hour 3 starts after"):
+        ScenarioSpec(name="x", duration_hours=1.0, sites=(site("a"),),
+                     crashes=(CrashSpec("a", "gateway", 3.0, 5.0),))
+
+
+def test_fault_window_errors_carry_their_path():
+    doc = minimal_dict(crashes=[{"site": "solo", "component": "gateway",
+                                 "start_hour": 1.0,
+                                 "downtime_minutes": 0.0}])
+    with pytest.raises(ScenarioError) as err:
+        ScenarioSpec.from_dict(doc)
+    assert "scenario.crashes[0]" in str(err.value)
+    assert "duration must be positive" in str(err.value)
 
 
 def test_churn_probabilities_must_sum_to_one():
