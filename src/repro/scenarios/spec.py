@@ -148,8 +148,8 @@ class _Spec:
     order) and ``_PATH`` (its name in error messages).
     """
 
-    _FIELDS: Dict[str, Callable] = {}
-    _PATH = "spec"
+    _FIELDS: Dict[str, Callable]
+    _PATH: str
 
     @classmethod
     def from_dict(cls, data: Any, path: Optional[str] = None):
