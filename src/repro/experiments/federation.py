@@ -501,9 +501,9 @@ def default_partition_schedule(horizon: float,
     """
     until = max(first_down, horizon - 2 * HOUR)
     south = FaultSchedule.flapping(
-        "link", ("north", "south"), first_down, downtime, uptime, until)
+        "north", "south", first_down, downtime, uptime, until)
     east = FaultSchedule.flapping(
-        "link", ("north", "east"), first_down, downtime, uptime, until)
+        "north", "east", first_down, downtime, uptime, until)
     return south.merged(east)
 
 

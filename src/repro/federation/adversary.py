@@ -152,10 +152,16 @@ class ByzantineAdversary:
 
     def resume(self) -> None:
         """Start the forging loop if a forging mode is active and the
-        gateway is up with a chain to forge into."""
+        gateway is up with a chain to forge into.
+
+        A loop the gateway no longer tracks is as good as finished: a
+        crash drops it at once, but its interrupt lands only later, so
+        a restart at the same instant must start a new one.
+        """
         gateway = self.gateway
         if (gateway.sharechain is not None and not gateway.is_crashed
-                and (self._proc is None or not self._proc.is_alive)
+                and (self._proc not in gateway._procs
+                     or not self._proc.is_alive)
                 and self.modes & CHAIN_VISIBLE_MODES):
             self._proc = gateway._spawn(self._forge_loop(),
                                         f"byzantine:{gateway.site}")

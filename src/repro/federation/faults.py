@@ -92,14 +92,14 @@ class FaultSchedule:
     @classmethod
     def flapping(
         cls,
-        kind: str,
-        target: Union[str, Tuple[str, str]],
+        site_a: str,
+        site_b: str,
         first_down: float,
         downtime: float,
         uptime: float,
         until: float,
     ) -> "FaultSchedule":
-        """A fault that recurs periodically until ``until``.
+        """A link that severs and heals periodically until ``until``.
 
         Windows start at ``first_down`` and repeat every
         ``downtime + uptime`` seconds — the classic flapping long-haul
@@ -110,7 +110,8 @@ class FaultSchedule:
         windows = []
         start = first_down
         while start < until:
-            windows.append(FaultWindow(kind, target, start, downtime))
+            windows.append(
+                FaultWindow("link", (site_a, site_b), start, downtime))
             start += downtime + uptime
         return cls(windows=tuple(windows))
 

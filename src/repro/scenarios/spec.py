@@ -513,19 +513,20 @@ class ScenarioSpec(_Spec):
             if pair in seen_pairs:
                 raise ValueError(f"duplicate link {pair[0]}<->{pair[1]}")
             seen_pairs.add(pair)
-        for outage in self.outages:
-            if tuple(sorted((outage.a, outage.b))) not in seen_pairs:
-                raise ValueError(
-                    f"outage severs {outage.a}<->{outage.b}, which is "
-                    f"not a declared link")
         for owner, items in (("flash_crowd", self.flash_crowds),
                              ("outage", self.outages),
                              ("crash", self.crashes),
                              ("adversary", self.adversaries)):
             for item in items:
-                for name in ((item.a, item.b) if owner == "outage"
-                             else (item.site,)):
-                    check_site(owner, name)
+                if owner == "outage":
+                    check_site(owner, item.a)
+                    check_site(owner, item.b)
+                    if tuple(sorted((item.a, item.b))) not in seen_pairs:
+                        raise ValueError(
+                            f"outage severs {item.a}<->{item.b}, which is "
+                            f"not a declared link")
+                else:
+                    check_site(owner, item.site)
                 # A window opening at or after the horizon never fires.
                 if item.start_hour >= self.duration_hours:
                     raise ValueError(

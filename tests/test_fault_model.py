@@ -226,3 +226,21 @@ def test_forger_pauses_across_a_gateway_crash():
     fed.run(until=1500.0)
     assert forged() > before  # the loop resumed at restart
     assert north.gateway.adversary.modes == {"forge"}
+
+
+def test_forger_resumes_after_a_same_instant_crash_and_restart():
+    fed, north = _pair()
+    _inject(fed, FaultWindow("forge", "north", 0.0))
+    fed.run(until=640.0)
+    gateway = north.gateway
+
+    def forged():
+        return len(gateway.sharechain.chain("north"))
+
+    # Crash and restart before the crash's interrupt reaches the loop.
+    gateway.crash()
+    gateway.restart()
+    before = forged()
+    fed.run(until=1500.0)
+    assert forged() > before
+    assert gateway.adversary.modes == {"forge"}

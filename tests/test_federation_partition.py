@@ -222,7 +222,7 @@ def test_flapping_wan_link_completes_every_job_exactly_once():
 
     fed, north, south = _two_campuses([RTX_3090], [RTX_4090] * 4)
     schedule = FaultSchedule.flapping(
-        "link", ("north", "south"), first_down=150.0, downtime=5 * MINUTE,
+        "north", "south", first_down=150.0, downtime=5 * MINUTE,
         uptime=5 * MINUTE, until=3 * HOUR)
     fed.inject_faults(schedule)
     fed.run(until=100)

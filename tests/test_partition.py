@@ -145,15 +145,14 @@ def test_link_outage_validation():
 
 def test_flapping_schedule_is_periodic_and_bounded():
     schedule = FaultSchedule.flapping(
-        "link", ("a", "b"), first_down=10.0, downtime=5.0, uptime=15.0,
-        until=60.0)
+        "a", "b", first_down=10.0, downtime=5.0, uptime=15.0, until=60.0)
     starts = [o.start for o in schedule.windows]
     assert starts == [10.0, 30.0, 50.0]
     assert all(o.duration == 5.0 for o in schedule.windows)
     assert all(o.target == ("a", "b") for o in schedule.windows)
     assert schedule.total_downtime == 15.0
     with pytest.raises(ValueError):
-        FaultSchedule.flapping("link", ("a", "b"), 0.0, 0.0, 1.0, 10.0)
+        FaultSchedule.flapping("a", "b", 0.0, 0.0, 1.0, 10.0)
 
 
 def _linked_pair():
@@ -169,8 +168,7 @@ def test_inject_partitions_drives_sever_and_heal():
     log = []
     fed.wan.add_listener(lambda ev, a, b: log.append((fed.env.now, ev)))
     fed.inject_faults(FaultSchedule.flapping(
-        "link", ("a", "b"), first_down=10.0, downtime=5.0, uptime=15.0,
-        until=40.0))
+        "a", "b", first_down=10.0, downtime=5.0, uptime=15.0, until=40.0))
     fed.run(until=12.0)
     assert fed.wan.is_severed("a", "b")
     fed.run(until=16.0)
@@ -194,8 +192,8 @@ def test_overlapping_outages_nest_on_injection():
 
 
 def test_merged_schedules_combine_outages():
-    first = FaultSchedule.flapping("link", ("a", "b"), 0.0, 1.0, 9.0, 20.0)
-    second = FaultSchedule.flapping("link", ("a", "c"), 5.0, 1.0, 9.0, 20.0)
+    first = FaultSchedule.flapping("a", "b", 0.0, 1.0, 9.0, 20.0)
+    second = FaultSchedule.flapping("a", "c", 5.0, 1.0, 9.0, 20.0)
     merged = first.merged(second)
     assert len(merged.windows) == len(first.windows) + len(second.windows)
     assert merged.windows == tuple(

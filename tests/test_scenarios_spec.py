@@ -164,6 +164,14 @@ def test_outage_on_undeclared_link_rejected():
                      outages=(OutageSpec("a", "b", 0.5, 10.0),))
 
 
+def test_outage_to_unknown_site_names_the_site():
+    with pytest.raises(ValueError, match="outage references unknown site 'c'"):
+        ScenarioSpec(name="x", duration_hours=1.0,
+                     sites=(site("a"), site("b")),
+                     links=(WanLinkSpec("a", "b"),),
+                     outages=(OutageSpec("a", "c", 0.5, 10.0),))
+
+
 def test_flash_crowd_past_horizon_rejected():
     with pytest.raises(ValueError, match="after the scenario ends"):
         ScenarioSpec(name="x", duration_hours=1.0, sites=(site("a"),),
