@@ -266,8 +266,8 @@ def run_federation(
     # count each only once, at its origin.
     federated_completed -= sum(
         1 for handle in fed.sites.values()
-        for record in handle.gateway.delegations.values()
-        if record.completed_at is not None
+        for record in handle.gateway.records.values()
+        if record.out is not None and record.out.completed_at is not None
     )
     return FederationResult(
         days=days,

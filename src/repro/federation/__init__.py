@@ -26,10 +26,12 @@ from .messages import (
     CapacityDigest,
     DelegationState,
     ForwardEnvelope,
-    ForwardIntent,
     ForwardOffer,
     ForwardRecord,
     GatewaySnapshot,
+    HostingState,
+    HostRecord,
+    JobRecord,
 )
 from .policy import FederationConfig, ForwardingPolicy
 from .sharechain import (
@@ -55,12 +57,14 @@ __all__ = [
     "FederationConfig",
     "FederationGateway",
     "ForwardEnvelope",
-    "ForwardIntent",
     "ForwardOffer",
     "ForwardRecord",
     "ForwardingPolicy",
     "GATEWAY_SNAPSHOT_VERSION",
     "GatewaySnapshot",
+    "HostRecord",
+    "HostingState",
+    "JobRecord",
     "PeerTrust",
     "ShareChain",
     "SignedEntry",

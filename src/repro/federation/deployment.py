@@ -216,8 +216,9 @@ class FederatedDeployment:
         Wraps each coordinator in a :class:`CoordinatorHA`
         primary/backup pair and attaches a durable
         :class:`~repro.storage.StateVault` to each gateway so its
-        books survive a restart.  Idempotent per site: campuses added
-        after the first call get wired by calling this again.
+        per-job table survives a restart.  Idempotent per site:
+        campuses added after the first call get wired by calling this
+        again.
         :meth:`inject_faults` calls it for crash windows; without
         either, the default fast path is untouched (no vault writes,
         no HA bookkeeping).

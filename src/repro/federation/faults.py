@@ -17,7 +17,7 @@ simulation clock.  The kinds and their on/off pairs:
 * ``coordinator`` — crash / restart the site's leading coordinator
   replica (its HA backup takes over after failure detection).
 * ``gateway`` — crash / restart the site's federation gateway (it
-  drops off the WAN and recovers its books from the vault).
+  drops off the WAN and recovers its per-job table from the vault).
 * each of :data:`~repro.federation.adversary.BYZANTINE_MODES` — set /
   clear that misbehavior mode on the site's attached adversary.
 

@@ -54,8 +54,8 @@ link is severed.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Set,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Generator, List,
+                    Optional, Set, Tuple)
 
 from ..core.messages import ResourceRequest
 from ..core.platform import GPUnionPlatform
@@ -69,13 +69,16 @@ from .admission import AdmissionController
 from .ledger import CreditEntry, CreditLedger
 from .messages import (
     GATEWAY_SNAPSHOT_VERSION,
+    JOURNAL_STATES,
     CapacityDigest,
     DelegationState,
     ForwardEnvelope,
-    ForwardIntent,
     ForwardOffer,
     ForwardRecord,
     GatewaySnapshot,
+    HostingState,
+    HostRecord,
+    JobRecord,
 )
 from .policy import FederationConfig, ForwardingPolicy
 from .sharechain import (
@@ -101,6 +104,60 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: QoS engine keys on.
 CHECKPOINT_CATEGORY = "federation-checkpoint"
 DATASET_CATEGORY = "federation-dataset"
+
+#: Gateway counters the snapshot carries across a restart.
+_COUNTERS = ("forwarded_out", "forwarded_in", "relayed_out", "declined",
+             "gossip_rounds", "wan_transfer_seconds")
+
+#: Legal successors of every phase of a job's two legs.
+_NEXT = {
+    DelegationState.OFFERED: {DelegationState.CLAIMED},
+    DelegationState.CLAIMED: {DelegationState.COMMITTED,
+                              DelegationState.UNKNOWN},
+    DelegationState.UNKNOWN: {DelegationState.COMMITTED},
+    DelegationState.COMMITTED: {DelegationState.COMPLETED,
+                                DelegationState.CANCELLED},
+    # On a relayed job a cancel reply and a chained completion notice
+    # can cross, so each terminal phase may still become the other.
+    DelegationState.COMPLETED: {DelegationState.CANCELLED},
+    DelegationState.CANCELLED: {DelegationState.COMPLETED},
+    HostingState.COMMITTING: {HostingState.HOSTED},
+    HostingState.HOSTED: {HostingState.SETTLED},
+    HostingState.SETTLED: set(),
+}
+
+
+def _advance(leg, phase) -> None:
+    """Move one leg to ``phase`` — the only place a phase is written."""
+    if phase not in _NEXT[leg.state]:
+        raise ValueError(
+            f"illegal transition {leg.state.name} -> {phase.name}")
+    leg.state = phase
+
+
+def _unknown(record: JobRecord) -> bool:
+    return (record.out is not None
+            and record.out.state is DelegationState.UNKNOWN)
+
+
+def _cancelling(record: JobRecord) -> bool:
+    return record.out is not None and record.out.cancel_pending
+
+
+def _hosting(record: JobRecord) -> bool:
+    return (record.host is not None
+            and record.host.state is HostingState.HOSTED)
+
+
+def _durable(record: JobRecord) -> JobRecord:
+    """A copy of the record with its own legs (requests and spans stay
+    shared) and without the facets a crash kills: the backoff clock
+    and an inbound leg whose payload pull is still running."""
+    host = record.host
+    if host is not None:
+        host = None if host.state is HostingState.COMMITTING else replace(host)
+    return replace(record, out=replace(record.out) if record.out else None,
+                   host=host, retry_after=0.0)
 
 
 class FederationGateway:
@@ -130,35 +187,14 @@ class FederationGateway:
             self.env, self.config, jobs=platform.coordinator.jobs)
 
         self.peer_digests: Dict[str, CapacityDigest] = {}
-        #: Jobs this site hosts for others:
-        #: job_id → (origin, arrival progress, relay path).
-        self._foreign_jobs: Dict[str, Tuple[str, float, Tuple[str, ...]]] = {}
-        #: Jobs this site delegated out: job_id → ForwardRecord.
-        self.delegations: Dict[str, ForwardRecord] = {}
-        #: Requests whose delegation is still unresolved (unknown
-        #: outcome) — kept so an "absent" probe result can requeue.
-        self._pending_requests: Dict[str, ResourceRequest] = {}
-        #: Delegated jobs the user cancelled; delivered to the hosting
-        #: site by the reconciliation pass (idempotent at the host, so
-        #: the effect is at-most-once).
-        self._pending_cancels: Set[str] = set()
-        #: Forward handshakes currently in flight (no record yet).
-        self._inflight: Set[str] = set()
-        self._retry_after: Dict[str, float] = {}
-
+        #: The per-job protocol table: each job's sender leg, inbound
+        #: hosting leg and unacked completion notice.  Durable: it is
+        #: snapshotted after every mutation and restored on restart.
+        self.records: Dict[str, JobRecord] = {}
         #: Host-side capacity leases: claim token → granted offer.
+        #: Keyed by token, not job: a job re-offered after its origin
+        #: crashed in phase 1 can hold two leases here at once.
         self._offers: Dict[str, ForwardOffer] = {}
-        #: Host-side commits in progress (payload pull running).
-        self._committing: Set[str] = set()
-        #: Host-side committed handshakes: job_id → claim token, for
-        #: idempotent replay of a commit whose ack was lost.
-        self._commits: Dict[str, str] = {}
-        #: Completion notices not yet acknowledged by the origin:
-        #: job_id → (origin site, notice payload).
-        self._unacked: Dict[str, Tuple[str, dict]] = {}
-        #: Accepted inbound offers (leases + commits in flight) —
-        #: reserved capacity the digest must not re-advertise.
-        self._inbound_pending = 0
 
         #: Next claim-token ordinal.  A plain int (not a generator) so
         #: it snapshots: token monotonicity must survive a restart, or
@@ -172,21 +208,11 @@ class FederationGateway:
         #: control-plane failover is enabled; ``None`` keeps every
         #: checkpoint a no-op on the default path).
         self.vault: Optional["StateVault"] = None
-        #: Write-ahead journal of in-flight outbound forwards:
-        #: job_id → ForwardIntent (see :meth:`_recover`).
-        self._intents: Dict[str, ForwardIntent] = {}
         self._crashed = False
-        #: Bumped on every crash so a handler process that straddles a
-        #: crash/restart can tell whether its bookkeeping (for example
-        #: the ``_inbound_pending`` lease count) still applies to the
-        #: incarnation that granted it.
-        self._incarnation = 0
         self.restarts = 0
         #: Gateway-owned processes (loops, forwards, notifies) —
         #: interrupted wholesale when the gateway crashes.
         self._procs: Set[Process] = set()
-        self._gossip_proc: Optional[Process] = None
-        self._reconcile_proc: Optional[Process] = None
 
         #: Adaptive-gossip state, tracked *per peer*: the digest each
         #: neighbour last **successfully** received, when, and the
@@ -251,10 +277,8 @@ class FederationGateway:
         endpoint.register("chain-entries", self._handle_chain_entries)
 
     def _start_loops(self) -> None:
-        self._gossip_proc = self._spawn(self._gossip_loop(),
-                                        f"gossip:{self.site}")
-        self._reconcile_proc = self._spawn(self._reconcile_loop(),
-                                           f"reconcile:{self.site}")
+        self._spawn(self._gossip_loop(), f"gossip:{self.site}")
+        self._spawn(self._reconcile_loop(), f"reconcile:{self.site}")
         if self.adversary is not None:
             self.adversary.resume()
 
@@ -266,6 +290,37 @@ class FederationGateway:
             proc.callbacks.append(
                 lambda _ev, p=proc: self._procs.discard(p))
         return proc
+
+    def _call(self, dest: str, method: str, payload,
+              timeout: Optional[float] = None) -> Event:
+        """A control-sized RPC to a peer gateway, under the control
+        timeout unless ``timeout`` is given."""
+        return self.wan_rpc.call(
+            self.site, dest, method, payload,
+            request_size=self.config.control_message_bytes,
+            response_size=self.config.control_message_bytes,
+            timeout=(self.config.control_rpc_timeout if timeout is None
+                     else timeout))
+
+    # -- the per-job table ------------------------------------------------
+
+    def _ids(self, keep: Callable[[JobRecord], bool]) -> List[str]:
+        """Sorted ids of the records ``keep`` selects right now."""
+        return sorted(job_id for job_id, record in self.records.items()
+                      if keep(record))
+
+    def _delegation(self, job_id: str) -> Optional[ForwardRecord]:
+        """The job's sender leg once it has left the journal phases."""
+        record = self.records.get(job_id)
+        leg = record.out if record is not None else None
+        return None if leg is None or leg.state in JOURNAL_STATES else leg
+
+    def _inbound(self, job_id: str,
+                 *states: HostingState) -> Optional[HostRecord]:
+        """The job's inbound leg, if it is in one of ``states``."""
+        record = self.records.get(job_id)
+        leg = record.host if record is not None else None
+        return leg if leg is not None and leg.state in states else None
 
     # -- tracing ----------------------------------------------------------
 
@@ -309,6 +364,11 @@ class FederationGateway:
         """
         free_gpus = 0
         free_cards: tuple = ()
+        # Reserved: live leases plus commits whose payload pull runs.
+        reserved = len(self._offers) + sum(
+            1 for record in self.records.values()
+            if record.host is not None
+            and record.host.state is HostingState.COMMITTING)
         if self.config.host_foreign_jobs:
             free_gpus, free_cards = self._registry_scan()
             # The reservation is time-dependent (the arrival-rate
@@ -317,10 +377,9 @@ class FederationGateway:
             free_gpus -= self.admission.reserved_headroom()
         return CapacityDigest(
             site=self.site,
-            free_gpus=free_gpus - self._inbound_pending,
+            free_gpus=free_gpus - reserved,
             free_cards=free_cards,
-            queue_pressure=(self.platform.coordinator.queue_pressure
-                            + self._inbound_pending),
+            queue_pressure=self.platform.coordinator.queue_pressure + reserved,
             advertised_at=self.env.now,
         )
 
@@ -407,12 +466,7 @@ class FederationGateway:
                 self.gossip_rounds += 1
             for peer in targets:
                 try:
-                    yield self.wan_rpc.call(
-                        self.site, peer, "digest", digest,
-                        request_size=self.config.control_message_bytes,
-                        response_size=self.config.control_message_bytes,
-                        timeout=self.config.control_rpc_timeout,
-                    )
+                    yield self._call(peer, "digest", digest)
                 except Interrupt:
                     return  # gateway crashed
                 except NetworkError:
@@ -467,13 +521,9 @@ class FederationGateway:
             if not delta:
                 continue
             try:
-                reply = yield self.wan_rpc.call(
-                    self.site, peer, "chain-entries",
-                    {"sender": self.site, "entries": tuple(delta)},
-                    request_size=self.config.control_message_bytes,
-                    response_size=self.config.control_message_bytes,
-                    timeout=self.config.control_rpc_timeout,
-                )
+                reply = yield self._call(
+                    peer, "chain-entries",
+                    {"sender": self.site, "entries": tuple(delta)})
             except NetworkError:
                 continue  # partitioned peer; retried next tick
             if isinstance(reply, dict) and "heads" in reply:
@@ -529,7 +579,7 @@ class FederationGateway:
         entry = signed.entry
         if entry.beneficiary != self.site:
             return None
-        record = self.delegations.get(entry.job_id)
+        record = self._delegation(entry.job_id)
         state = self.platform.coordinator.jobs.get(entry.job_id)
         if record is None or state is None:
             return "unknown-job"  # billed for a job we never delegated
@@ -656,9 +706,9 @@ class FederationGateway:
             return False  # sessions never cross the WAN
         if request.forward_hops >= self.config.max_forward_hops:
             return False  # out of hops: the job stays parked here
-        retry_at = self._retry_after.get(request.request_id)
-        if retry_at is not None and self.env.now < retry_at:
-            return False
+        record = self.records.get(request.request_id)
+        if record is not None and self.env.now < record.retry_after:
+            return False  # backing off after a decline
         exclude = set(request.relay_path)
         if self.trust is not None:
             # Quarantined/evicted peers are never forwarding targets
@@ -685,22 +735,17 @@ class FederationGateway:
         return True
 
     def _forward(self, request: ResourceRequest, dest: str) -> Generator:
-        job_id = request.training.job_id
-        self._inflight.add(job_id)
         try:
             yield from self._forward_handshake(request, dest)
         except Interrupt:
-            return  # gateway crashed mid-handshake; the intent
-            # journal carries the truth into recovery
-        finally:
-            self._inflight.discard(job_id)
+            return  # gateway crashed mid-handshake; the journaled
+            # sender leg carries the truth into recovery
 
     def _forward_handshake(self, request: ResourceRequest,
                            dest: str) -> Generator:
         spec = request.training
         state = self.platform.coordinator.jobs.get(spec.job_id)
         if state is not None and state.status is JobStatus.CANCELLED:
-            self._pending_cancels.discard(spec.job_id)
             return  # cancelled between the hook firing and this process
         store = self.platform.store_for(spec)
         snapshot = None
@@ -738,19 +783,18 @@ class FederationGateway:
                 dest=dest, restore=restore, hop=request.forward_hops + 1,
                 payload_bytes=payload_bytes,
             )
-        # Write-ahead intent: journaled *before* the offer leaves, so
-        # a gateway crash at any point of the handshake leaves behind
-        # an exact classification — no token means phase 1 died (safe
-        # to requeue), a token means the commit may have landed (park
-        # UNKNOWN and probe).  Cleared on every terminal branch.
-        intent = ForwardIntent(
-            job_id=spec.job_id, dest_site=dest, started_at=started,
+        # Write-ahead: the sender leg is journaled *before* the offer
+        # leaves, so a gateway crash at any point of the handshake
+        # leaves behind an exact classification — OFFERED means phase 1
+        # died (safe to requeue), CLAIMED means the commit may have
+        # landed (park UNKNOWN and probe).  Dropped on every decline.
+        record = self.records.setdefault(spec.job_id, JobRecord(spec.job_id))
+        leg = record.out = ForwardRecord(
+            job_id=spec.job_id, dest_site=dest, forwarded_at=started,
             payload_bytes=payload_bytes, restore=restore,
-            shipped_progress=shipped_progress,
             origin_site=request.origin_site, upstream=upstream,
-            request=request, trace=fwd,
+            shipped_progress=shipped_progress, trace=fwd, request=request,
         )
-        self._intents[spec.job_id] = intent
         self._checkpoint()
         # Phase 1: metadata-only offer.  A failure here is *safe* —
         # nothing durable happened at the host beyond an expiring
@@ -766,19 +810,13 @@ class FederationGateway:
             trace=fwd,
         )
         try:
-            reply = yield self.wan_rpc.call(
-                self.site, dest, "forward-offer", offer,
-                request_size=self.config.control_message_bytes,
-                response_size=self.config.control_message_bytes,
-                timeout=self.config.control_rpc_timeout,
-            )
+            reply = yield self._call(dest, "forward-offer", offer)
         except NetworkError:
             reply = {}
         if not reply.get("accepted"):
             if tracer is not None:
                 tracer.finish(fwd, status="declined",
                               reason=reply.get("reason", "unreachable"))
-            self._intents.pop(spec.job_id, None)
             if self.trust is not None and reply and "reason" not in reply:
                 # The peer advertised capacity fresh enough for the
                 # policy to pick it, yet declined for headroom (the
@@ -787,7 +825,8 @@ class FederationGateway:
                 # a circumstantial, threshold-gated strike.
                 self._apply_strike(dest, "capacity-mismatch",
                                    definitive=False)
-            self._decline(request, dest)
+            self.declined += 1
+            self._requeue(record, "job-forward-declined")
             return
         token = reply["claim_token"]
         state = self.platform.coordinator.jobs.get(spec.job_id)
@@ -795,17 +834,16 @@ class FederationGateway:
             # Cancelled while the offer was in flight: nothing has
             # committed — release the lease (best-effort; it expires
             # on its own if this leg is lost too) and walk away.
-            self._pending_cancels.discard(spec.job_id)
             if tracer is not None:
                 tracer.finish(fwd, status="cancelled")
-            self._intents.pop(spec.job_id, None)
+            record.out = None
             self._checkpoint()
             yield from self._release_lease(dest, token)
             return
-        # Upgrade the journal entry before the commit leaves: from
-        # here on a crash must resolve through the status probe, never
-        # a blind requeue.
-        intent.claim_token = token
+        # Claim the leg before the commit leaves: from here on a crash
+        # must resolve through the status probe, never a blind requeue.
+        leg.claim_token = token
+        _advance(leg, DelegationState.CLAIMED)
         self._checkpoint()
         # Phase 2: claim-bearing commit.  A failure here is AMBIGUOUS
         # — the host may have pulled the payload and scheduled the job
@@ -823,26 +861,12 @@ class FederationGateway:
             trace=fwd,
         )
         try:
-            commit = yield self.wan_rpc.call(
-                self.site, dest, "forward-commit", envelope,
-                request_size=self.config.control_message_bytes,
-                response_size=self.config.control_message_bytes,
-                timeout=self.config.commit_rpc_timeout,
-            )
+            commit = yield self._call(dest, "forward-commit", envelope,
+                                      timeout=self.config.commit_rpc_timeout)
         except NetworkError:
-            record = ForwardRecord(
-                job_id=spec.job_id, dest_site=dest, forwarded_at=started,
-                payload_bytes=payload_bytes, restore=restore,
-                claim_token=token, state=DelegationState.UNKNOWN,
-                origin_site=request.origin_site, upstream=upstream,
-                shipped_progress=shipped_progress,
-            )
             # The forward span stays open: the handshake's outcome is
             # ambiguous until a reconciliation probe resolves it.
-            record.trace = fwd
-            self.delegations[spec.job_id] = record
-            self._pending_requests[spec.job_id] = request
-            self._intents.pop(spec.job_id, None)
+            _advance(leg, DelegationState.UNKNOWN)
             self._checkpoint()
             self.platform.events.emit("job-forward-unknown",
                                       job_id=spec.job_id, dest=dest)
@@ -852,36 +876,23 @@ class FederationGateway:
             if tracer is not None:
                 tracer.finish(fwd, status="declined",
                               reason=commit.get("reason", "not-committed"))
-            self._intents.pop(spec.job_id, None)
-            self._decline(request, dest)
+            self.declined += 1
+            self._requeue(record, "job-forward-declined")
             return
         elapsed = self.env.now - started
         self.forwarded_out += 1
         self.wan_transfer_seconds += elapsed
-        record = ForwardRecord(
-            job_id=spec.job_id,
-            dest_site=dest,
-            forwarded_at=started,
-            payload_bytes=payload_bytes,
-            restore=restore,
-            transfer_seconds=elapsed,
-            claim_token=token,
-            origin_site=request.origin_site,
-            upstream=upstream,
-            shipped_progress=shipped_progress,
-            trace=fwd,
-        )
+        leg.transfer_seconds = elapsed
+        _advance(leg, DelegationState.COMMITTED)
         if tracer is not None:
             tracer.finish(fwd, status="committed",
                           transfer_seconds=elapsed)
-        self.delegations[spec.job_id] = record
-        self._intents.pop(spec.job_id, None)
-        self._settle_relay_departure(record)
+        self._settle_relay_departure(leg)
         state = self.platform.coordinator.jobs.get(spec.job_id)
         if state is not None and state.status is JobStatus.CANCELLED:
             # The user cancelled mid-commit; the host runs the job
             # until the pending cancellation lands there.
-            self._pending_cancels.add(spec.job_id)
+            leg.cancel_pending = True
             self._kick_reconcile()
         elif state is not None:
             state.status = JobStatus.MIGRATING
@@ -901,40 +912,35 @@ class FederationGateway:
         """
         if self._crashed:
             # The CANCELLED job state survives in the coordinator;
-            # recovery re-derives the pending set from it.
+            # recovery re-derives the pending cancel from it.
             return False
-        if job_id in self.delegations or job_id in self._inflight:
-            self._pending_cancels.add(job_id)
+        record = self.records.get(job_id)
+        if record is not None and record.out is not None:
+            record.out.cancel_pending = True
             self._checkpoint()
             self._kick_reconcile()
             return True
         return False
 
-    def _decline(self, request: ResourceRequest, dest: str) -> None:
-        """Offer declined (or failed safely): back off and re-park.
-
-        The request goes back to the local queue like any other
-        unplaceable work — unless the user cancelled while the offer
-        was in flight.
-        """
-        spec = request.training
-        self.declined += 1
-        self._retry_after[spec.job_id] = (
-            self.env.now + self.config.forward_retry_backoff)
-        self.platform.events.emit("job-forward-declined",
-                                  job_id=spec.job_id, dest=dest)
-        state = self.platform.coordinator.jobs.get(spec.job_id)
+    def _requeue(self, record: JobRecord, event: str) -> None:
+        """End a sender leg the peer provably never committed (declined,
+        failed safely, or probed ``absent``): back off and re-park the
+        request like any other unplaceable work — unless the user
+        cancelled it meanwhile."""
+        leg, record.out = record.out, None
+        record.retry_after = self.env.now + self.config.forward_retry_backoff
+        self.platform.events.emit(event, job_id=record.job_id,
+                                  dest=leg.dest_site)
+        state = self.platform.coordinator.jobs.get(record.job_id)
         if state is None or state.status is not JobStatus.CANCELLED:
-            self.platform.coordinator.queue.push(request)
-        else:
-            self._pending_cancels.discard(spec.job_id)
+            self.platform.coordinator.queue.push(leg.request)
         self._checkpoint()
 
     def _settle_relay_departure(self, record: ForwardRecord) -> None:
         """Close this site's hosting role after relaying a job onward.
 
         A relay stops hosting the moment its outgoing commit is
-        confirmed: the foreign-job entry closes, and any *durable*
+        confirmed: the inbound leg settles, and any *durable*
         progress this site added beyond the arrival snapshot (it may
         have run the job between hosting and relaying) is settled as a
         donation now — the downstream host bills only the remainder,
@@ -943,7 +949,7 @@ class FederationGateway:
         """
         if record.origin_site is None:
             return  # we are the true origin, not a relay
-        entry = self._foreign_jobs.pop(record.job_id, None)
+        hosted = self._inbound(record.job_id, HostingState.HOSTED)
         self.relayed_out += 1
         # This site's hosting role ends here; its host span closes and
         # the delegation lives on in the outgoing forward span.
@@ -952,52 +958,51 @@ class FederationGateway:
             "job-relayed", job_id=record.job_id, dest=record.dest_site,
             origin=record.origin_site,
         )
-        if entry is None:
-            return
-        origin, arrival_progress, _path = entry
-        executed = max(0.0, record.shipped_progress - arrival_progress)
-        if executed > 1e-9:
-            self._chain_record(self.ledger.record_donation(
-                donor=self.site,
-                beneficiary=origin,
-                gpu_hours=executed / HOUR,
-                job_id=record.job_id,
-                at=self.env.now,
-            ))
+        if hosted is not None:
+            self._settle(record.job_id, hosted, record.shipped_progress,
+                         fees=False)
 
-    def _settle_relay_fees(self, job_id: str, origin: str,
-                           relay_path: Tuple[str, ...],
-                           executed_seconds: float) -> None:
-        """Pay each intermediate relay its cut of a settled donation.
+    def _settle(self, job_id: str, hosted: HostRecord, progress: float,
+                fees: bool = True) -> float:
+        """HOSTED → SETTLED: bill the origin for the hours this site
+        donated — ``progress`` beyond what the job arrived with — and,
+        with ``fees``, each relay on its path its cut of them.
 
-        ``relay_path[0]`` is the origin itself and earns nothing; every
-        later entry carried the job one hop and is credited
-        ``relay_fee_fraction`` of the donated hours, charged to the
-        origin — entries are plain transfers, so ledger conservation
-        holds by construction.
+        Returns the donated seconds.
         """
-        fee = (executed_seconds / HOUR) * self.config.relay_fee_fraction
-        if fee <= 1e-12:
-            return
-        for relay in relay_path[1:]:
-            # The settling host signs the fee entry — donor is the
-            # relay, so an honest fee is never self-credited.
-            self._chain_record(self.ledger.record_relay_fee(
-                relay=relay,
-                beneficiary=origin,
-                gpu_hours=fee,
-                job_id=job_id,
-                at=self.env.now,
-            ))
+        _advance(hosted, HostingState.SETTLED)
+        executed = max(0.0, progress - hosted.arrival_progress)
+        if executed <= 1e-9:
+            return executed
+        self._chain_record(self.ledger.record_donation(
+            donor=self.site,
+            beneficiary=hosted.origin_site,
+            gpu_hours=executed / HOUR,
+            job_id=job_id,
+            at=self.env.now,
+        ))
+        # ``relay_path[0]`` is the origin itself and earns nothing; every
+        # later entry carried the job one hop and is credited
+        # ``relay_fee_fraction`` of the donated hours, charged to the
+        # origin — entries are plain transfers, so ledger conservation
+        # holds by construction.
+        fee = (executed / HOUR) * self.config.relay_fee_fraction
+        if fees and fee > 1e-12:
+            for relay in hosted.relay_path[1:]:
+                # The settling host signs the fee entry — donor is the
+                # relay, so an honest fee is never self-credited.
+                self._chain_record(self.ledger.record_relay_fee(
+                    relay=relay,
+                    beneficiary=hosted.origin_site,
+                    gpu_hours=fee,
+                    job_id=job_id,
+                    at=self.env.now,
+                ))
+        return executed
 
     def _release_lease(self, dest: str, token: str) -> Generator:
         try:
-            yield self.wan_rpc.call(
-                self.site, dest, "forward-release", {"claim_token": token},
-                request_size=self.config.control_message_bytes,
-                response_size=self.config.control_message_bytes,
-                timeout=self.config.control_rpc_timeout,
-            )
+            yield self._call(dest, "forward-release", {"claim_token": token})
         except NetworkError:
             pass  # the lease expires at the host on its own
 
@@ -1045,7 +1050,8 @@ class FederationGateway:
             # than let a relay loop form.
             self._trace_admission(offer, False, "relay-loop")
             return {"accepted": False, "reason": "relay-loop"}
-        if job_id in self.platform.coordinator.jobs or job_id in self._committing:
+        if (job_id in self.platform.coordinator.jobs
+                or self._inbound(job_id, HostingState.COMMITTING)):
             # We already host (or are mid-commit of) this job; the
             # origin should resolve its handshake via forward-status,
             # never re-offer — decline defensively.
@@ -1060,10 +1066,9 @@ class FederationGateway:
         self._trace_admission(offer, True)
         token = f"{self.site}#{self._token_seq}"
         self._token_seq += 1
+        # The lease reserves the accepted card in our digest until the
+        # claim arrives, so concurrent origins cannot all book it.
         self._offers[token] = offer
-        # Reserve the accepted card until the claim arrives, so
-        # concurrent origins cannot all book the same advertised GPU.
-        self._inbound_pending += 1
         # Persist the token ordinal: leases are volatile, but a token
         # recycled after a crash could alias a pre-crash handshake.
         self._checkpoint()
@@ -1075,7 +1080,6 @@ class FederationGateway:
         yield self.env.timeout(self.config.offer_lease_timeout)
         offer = self._offers.pop(token, None)
         if offer is not None:
-            self._inbound_pending -= 1
             self.platform.events.emit("forward-lease-expired",
                                       job_id=offer.spec.job_id,
                                       origin=offer.origin_site)
@@ -1083,7 +1087,8 @@ class FederationGateway:
     def _handle_forward_commit(self, envelope: ForwardEnvelope) -> Generator:
         job_id = envelope.spec.job_id
         token = envelope.claim_token
-        if self._commits.get(job_id) == token:
+        done = self._inbound(job_id, HostingState.HOSTED, HostingState.SETTLED)
+        if done is not None and done.claim_token == token:
             # Idempotent replay: we committed this exact handshake and
             # the acknowledgement was lost.  Do NOT schedule again.
             return {"committed": True}
@@ -1096,9 +1101,12 @@ class FederationGateway:
         # WAN from the *previous hop* — on a relayed forward the data
         # lives at the relay, not the origin; the handler runs inside
         # the RPC, so the sender sees the full replication time before
-        # its commit is acknowledged.
-        incarnation = self._incarnation
-        self._committing.add(job_id)
+        # its commit is acknowledged.  While it runs, the COMMITTING
+        # leg keeps the card reserved in our digest.
+        record = self.records.setdefault(job_id, JobRecord(job_id))
+        leg = record.host = HostRecord(
+            envelope.origin_site, envelope.progress, envelope.relay_path,
+            token)
         category = (CHECKPOINT_CATEGORY if envelope.restore
                     else DATASET_CATEGORY)
         tracer = self.tracer
@@ -1121,9 +1129,10 @@ class FederationGateway:
             self._check_alive()
             # The pull died (e.g. the WAN severed mid-replication):
             # abort without committing, so a forward-status probe
-            # reports "absent" and the origin requeues safely.
-            self._committing.discard(job_id)
-            self._inbound_pending -= 1
+            # reports "absent" and the origin requeues safely.  After a
+            # same-instant crash and restart this record is an orphan
+            # the table no longer holds, and dropping its leg is moot.
+            record.host = None
             if tracer is not None:
                 tracer.finish(pull, status="pull-failed")
             self.platform.events.emit("forward-commit-aborted",
@@ -1131,10 +1140,10 @@ class FederationGateway:
                                       origin=envelope.origin_site)
             return {"committed": False, "reason": "pull-failed"}
         self._check_alive()
-        if incarnation == self._incarnation:
-            # The lease count belongs to the incarnation that granted
-            # it; after a crash/restart cycle it was already zeroed.
-            self._inbound_pending -= 1
+        # Hosted from here on; the leg is re-attached in case a
+        # same-instant crash and restart reset it.
+        self.records.setdefault(job_id, record).host = leg
+        _advance(leg, HostingState.HOSTED)
         if tracer is not None:
             tracer.finish(pull)
         if envelope.snapshot is not None:
@@ -1144,10 +1153,6 @@ class FederationGateway:
             # imported record so future checkpoints never collide.
             self.platform.engine.adopt_base(job_id,
                                             envelope.snapshot.version)
-        self._foreign_jobs[job_id] = (envelope.origin_site,
-                                      envelope.progress,
-                                      envelope.relay_path)
-        self._commits[job_id] = token
         self.forwarded_in += 1
         self._checkpoint()
         self.platform.coordinator.submit_remote(
@@ -1159,13 +1164,10 @@ class FederationGateway:
             relay_path=envelope.relay_path,
             trace=envelope.trace,
         )
-        self._committing.discard(job_id)
         return {"committed": True}
 
     def _handle_forward_release(self, payload: dict):
-        offer = self._offers.pop(payload.get("claim_token"), None)
-        if offer is not None:
-            self._inbound_pending -= 1
+        self._offers.pop(payload.get("claim_token"), None)
         return "ok"
 
     def _handle_forward_status(self, payload: dict) -> dict:
@@ -1176,15 +1178,13 @@ class FederationGateway:
         the origin may requeue without risking a duplicate.
         """
         job_id = payload["job_id"]
-        if job_id in self._committing:
+        if self._inbound(job_id, HostingState.COMMITTING):
             return {"state": "pending"}
         state = self.platform.coordinator.jobs.get(job_id)
         if state is None:
-            offer = self._offers.pop(payload.get("claim_token"), None)
-            if offer is not None:
-                # The origin abandoned this handshake; free the lease
-                # now instead of waiting for expiry.
-                self._inbound_pending -= 1
+            # The origin abandoned this handshake; free the lease now
+            # instead of waiting for expiry.
+            self._offers.pop(payload.get("claim_token"), None)
             return {"state": "absent"}
         if state.status is JobStatus.CANCELLED:
             return {"state": "cancelled"}
@@ -1198,7 +1198,7 @@ class FederationGateway:
         """The site that actually ran a job done *from here*: this one,
         unless we relayed it onward — then the downstream record knows
         the true host, and probe/cancel replies must not claim it."""
-        record = self.delegations.get(job_id)
+        record = self._delegation(job_id)
         if record is not None:
             return record.host_site or record.dest_site
         return self.site
@@ -1212,7 +1212,8 @@ class FederationGateway:
         """
         job_id = payload["job_id"]
         coordinator = self.platform.coordinator
-        if job_id in self._committing or coordinator.is_dispatching(job_id):
+        if (self._inbound(job_id, HostingState.COMMITTING)
+                or coordinator.is_dispatching(job_id)):
             # Mid-commit or mid-dispatch: the job's fate is changing
             # under us — ask the origin to retry shortly.
             return {"pending": True}
@@ -1243,9 +1244,9 @@ class FederationGateway:
                         "completed_at": state.completed_at,
                         "host_site": self._host_of(job_id)}
         state.status = JobStatus.CANCELLED
-        entry = self._foreign_jobs.pop(job_id, None)
-        if entry is not None:
-            self._settle_foreign_cancellation(job_id, entry, state)
+        hosted = self._inbound(job_id, HostingState.HOSTED)
+        if hosted is not None:
+            self._settle_foreign_cancellation(job_id, hosted, state)
             self._checkpoint()
         # A crash during the terminate round trip keeps the *local*
         # effects (the executor is already dead, and CANCELLED is the
@@ -1255,31 +1256,20 @@ class FederationGateway:
         self._check_alive()
         return {"cancelled": True}
 
-    def _settle_foreign_cancellation(self, job_id: str, entry: tuple,
-                                     state) -> None:
+    def _settle_foreign_cancellation(self, job_id: str,
+                                     hosted: HostRecord, state) -> None:
         """Bill the hours a cancelled foreign job donated before dying.
 
         Shared by the live cancel handler and restart recovery (a
         cancel whose terminate round trip straddled a gateway crash
         completes locally but cannot settle until the restarted
-        gateway replays its books).
+        gateway replays its table).
         """
-        origin, arrival_progress, relay_path = entry
-        executed = max(0.0, state.progress - arrival_progress)
-        if executed > 1e-9:
-            # Bill the hours actually donated before the cancel —
-            # and the relays' cut of that partial settlement.
-            self._chain_record(self.ledger.record_donation(
-                donor=self.site,
-                beneficiary=origin,
-                gpu_hours=executed / HOUR,
-                job_id=job_id,
-                at=self.env.now,
-            ))
-            self._settle_relay_fees(job_id, origin, relay_path,
-                                    executed)
+        # Bill the hours actually donated before the cancel — and the
+        # relays' cut of that partial settlement.
+        executed = self._settle(job_id, hosted, state.progress)
         self.platform.events.emit("foreign-job-cancelled",
-                                  job_id=job_id, origin=origin,
+                                  job_id=job_id, origin=hosted.origin_site,
                                   donated_gpu_hours=executed / HOUR)
 
     # -- settlement -------------------------------------------------------
@@ -1291,34 +1281,26 @@ class FederationGateway:
         if event.kind != "job-completed":
             return
         job_id = event.payload.get("job_id")
-        entry = self._foreign_jobs.pop(job_id, None)
-        if entry is None:
+        hosted = self._inbound(job_id, HostingState.HOSTED)
+        if hosted is None:
             return
-        self._settle_foreign_completion(job_id, entry)
+        self._settle_foreign_completion(job_id, hosted)
         self._checkpoint()
 
     def _settle_foreign_completion(self, job_id: str,
-                                   entry: tuple) -> None:
+                                   hosted: HostRecord) -> None:
         """Credit this site for a hosted foreign job that finished.
 
         Shared by the live completion event and restart recovery —
         a job that completed while the gateway was down settles here
-        when the restarted gateway replays its books.
+        when the restarted gateway replays its table.
         """
-        origin, arrival_progress, relay_path = entry
         state = self.platform.coordinator.jobs.get(job_id)
-        donated = state.spec.total_compute - arrival_progress
-        self._chain_record(self.ledger.record_donation(
-            donor=self.site,
-            beneficiary=origin,
-            gpu_hours=donated / HOUR,
-            job_id=job_id,
-            at=self.env.now,
-        ))
         # Relays along the path earn their fee out of the origin's
         # balance — settled here, at the one site that knows the final
         # donated hours.
-        self._settle_relay_fees(job_id, origin, relay_path, donated)
+        donated = self._settle(job_id, hosted, state.spec.total_compute)
+        origin, relay_path = hosted.origin_site, hosted.relay_path
         tracer = self.tracer
         if tracer is not None:
             # On the live path this runs inside the coordinator's
@@ -1354,7 +1336,7 @@ class FederationGateway:
         downstream notice onward go through here, so the wire shape
         cannot drift between them.
         """
-        self._unacked[job_id] = (upstream, {
+        self.records[job_id].notice = (upstream, {
             "job_id": job_id, "completed_at": completed_at,
             "host_site": host_site,
         })
@@ -1362,17 +1344,12 @@ class FederationGateway:
         self._spawn(self._notify_upstream(job_id), f"notify:{job_id}")
 
     def _notify_upstream(self, job_id: str) -> Generator:
-        entry = self._unacked.get(job_id)
-        if entry is None:
+        record = self.records.get(job_id)
+        if record is None or record.notice is None:
             return
-        upstream, payload = entry
+        upstream, payload = record.notice
         try:
-            yield self.wan_rpc.call(
-                self.site, upstream, "job-complete", payload,
-                request_size=self.config.control_message_bytes,
-                response_size=self.config.control_message_bytes,
-                timeout=self.config.control_rpc_timeout,
-            )
+            yield self._call(upstream, "job-complete", payload)
         except NetworkError:
             # The previous hop is partitioned; the reconciliation pass
             # re-sends this notice once the WAN heals.  (A crash
@@ -1381,7 +1358,7 @@ class FederationGateway:
             self.platform.events.emit("job-complete-notify-failed",
                                       job_id=job_id, origin=upstream)
             return
-        self._unacked.pop(job_id, None)
+        record.notice = None
         self._checkpoint()
 
     def _handle_job_complete(self, payload: dict):
@@ -1400,7 +1377,7 @@ class FederationGateway:
         Returns ``False`` on a duplicate (the completion was already
         applied — e.g. a re-sent notice after a lost acknowledgement).
         """
-        record = self.delegations.get(job_id)
+        record = self._delegation(job_id)
         if record is not None:
             if record.state is DelegationState.COMPLETED:
                 return False
@@ -1410,11 +1387,10 @@ class FederationGateway:
                 self._confirm_delegation(record)
             record.completed_at = completed_at
             record.host_site = host_site or record.dest_site
-            record.state = DelegationState.COMPLETED
+            _advance(record, DelegationState.COMPLETED)
         # At the true origin this closes the root job span; at a relay
         # the host span already closed as "relayed" and this is a no-op.
         self.platform.coordinator.finish_trace(job_id, "completed")
-        self._pending_requests.pop(job_id, None)
         state = self.platform.coordinator.jobs.get(job_id)
         if state is not None:
             state.progress = state.spec.total_compute
@@ -1423,7 +1399,8 @@ class FederationGateway:
             if state.status is JobStatus.CANCELLED:
                 # The cancellation raced the completion and lost; the
                 # user's cancellation record survives.
-                self._pending_cancels.discard(job_id)
+                if record is not None:
+                    record.cancel_pending = False
                 self.platform.events.emit("job-cancel-lost-race",
                                           job_id=job_id, dest=host_site)
             else:
@@ -1445,7 +1422,7 @@ class FederationGateway:
 
     def _confirm_delegation(self, record: ForwardRecord) -> None:
         """An unknown-outcome handshake turned out to have committed."""
-        record.state = DelegationState.COMMITTED
+        _advance(record, DelegationState.COMMITTED)
         self.forwarded_out += 1
         tracer = self.tracer
         if tracer is not None:
@@ -1453,10 +1430,9 @@ class FederationGateway:
             # lost; the probe/notice proves the handshake landed.
             tracer.finish(record.trace, status="committed")
         self._settle_relay_departure(record)
-        self._pending_requests.pop(record.job_id, None)
         state = self.platform.coordinator.jobs.get(record.job_id)
         if state is not None and state.status is JobStatus.CANCELLED:
-            self._pending_cancels.add(record.job_id)
+            record.cancel_pending = True
         elif state is not None:
             state.status = JobStatus.MIGRATING
             state.current_node = f"wan:{record.dest_site}"
@@ -1485,9 +1461,9 @@ class FederationGateway:
             self._reconcile_kicked = True  # picked up next loop turn
 
     def _has_reconcile_work(self) -> bool:
-        unknown = any(r.state is DelegationState.UNKNOWN
-                      for r in self.delegations.values())
-        return bool(unknown or self._pending_cancels or self._unacked)
+        return any(_unknown(record) or _cancelling(record)
+                   or record.notice is not None
+                   for record in self.records.values())
 
     def _reconcile_loop(self) -> Generator:
         while True:
@@ -1513,42 +1489,39 @@ class FederationGateway:
                     self._pass_running = False
 
     def _reconcile_pass(self) -> Generator:
-        """One idempotent sweep over everything a partition left open."""
+        """One idempotent sweep over everything a partition left open.
+
+        Three sweeps in this order, each in sorted job-id order over
+        the ids selected when it starts.
+        """
         # 1. Resolve unknown-outcome delegations with status probes.
-        for job_id in sorted(self.delegations):
-            record = self.delegations.get(job_id)
+        for job_id in self._ids(_unknown):
+            record = self._delegation(job_id)
             if record is None or record.state is not DelegationState.UNKNOWN:
                 continue
             yield from self._probe_delegation(job_id, record)
         # 2. Deliver pending cross-site cancellations.
-        for job_id in sorted(self._pending_cancels):
-            record = self.delegations.get(job_id)
+        #    A journaled or UNKNOWN handshake must resolve first.
+        for job_id in self._ids(_cancelling):
+            record = self.records[job_id].out
             if record is None:
-                if job_id not in self._inflight:
-                    self._pending_cancels.discard(job_id)
-                continue
-            if record.state is DelegationState.UNKNOWN:
-                continue  # probe must resolve the handshake first
+                continue  # the cancel left with its leg
             if record.state in (DelegationState.COMPLETED,
                                 DelegationState.CANCELLED):
-                self._pending_cancels.discard(job_id)
-                continue
-            yield from self._send_cancel(job_id, record)
+                record.cancel_pending = False
+            elif record.state is DelegationState.COMMITTED:
+                yield from self._send_cancel(job_id, record)
         # 3. Re-send completion notices the previous hop never
         #    acknowledged.
-        for job_id in sorted(self._unacked):
+        for job_id in self._ids(lambda record: record.notice is not None):
             yield from self._notify_upstream(job_id)
 
     def _probe_delegation(self, job_id: str,
                           record: ForwardRecord) -> Generator:
         try:
-            reply = yield self.wan_rpc.call(
-                self.site, record.dest_site, "forward-status",
-                {"job_id": job_id, "claim_token": record.claim_token},
-                request_size=self.config.control_message_bytes,
-                response_size=self.config.control_message_bytes,
-                timeout=self.config.control_rpc_timeout,
-            )
+            reply = yield self._call(
+                record.dest_site, "forward-status",
+                {"job_id": job_id, "claim_token": record.claim_token})
         except NetworkError:
             return  # still unreachable; retried next pass
         outcome = reply.get("state")
@@ -1563,19 +1536,7 @@ class FederationGateway:
             # requeuing locally cannot duplicate the job.
             if tracer is not None:
                 tracer.finish(record.trace, status="absent")
-            del self.delegations[job_id]
-            request = self._pending_requests.pop(job_id, None)
-            self._pending_cancels.discard(job_id)
-            self._checkpoint()
-            self.platform.events.emit("job-forward-requeued",
-                                      job_id=job_id, dest=record.dest_site)
-            state = self.platform.coordinator.jobs.get(job_id)
-            if request is not None and (
-                    state is None
-                    or state.status is not JobStatus.CANCELLED):
-                self._retry_after[job_id] = (
-                    self.env.now + self.config.forward_retry_backoff)
-                self.platform.coordinator.queue.push(request)
+            self._requeue(self.records[job_id], "job-forward-requeued")
             return
         # The host committed: resolve the handshake.
         if record.state is DelegationState.UNKNOWN:
@@ -1585,24 +1546,20 @@ class FederationGateway:
                 job_id, reply.get("completed_at", self.env.now),
                 reply.get("host_site", record.dest_site))
         elif outcome == "cancelled":
-            record.state = DelegationState.CANCELLED
-            self._pending_cancels.discard(job_id)
+            _advance(record, DelegationState.CANCELLED)
+            record.cancel_pending = False
             self._checkpoint()
 
     def _send_cancel(self, job_id: str, record: ForwardRecord) -> Generator:
         try:
-            reply = yield self.wan_rpc.call(
-                self.site, record.dest_site, "cancel-job",
-                {"job_id": job_id, "origin_site": self.site},
-                request_size=self.config.control_message_bytes,
-                response_size=self.config.control_message_bytes,
-                timeout=self.config.control_rpc_timeout,
-            )
+            reply = yield self._call(
+                record.dest_site, "cancel-job",
+                {"job_id": job_id, "origin_site": self.site})
         except NetworkError:
             return  # unreachable; retried next pass (host is idempotent)
         if reply.get("pending"):
             return  # host mid-commit/dispatch; retry shortly
-        self._pending_cancels.discard(job_id)
+        record.cancel_pending = False
         tracer = self.tracer
         if reply.get("completed"):
             if tracer is not None:
@@ -1612,7 +1569,7 @@ class FederationGateway:
                 job_id, reply.get("completed_at", self.env.now),
                 reply.get("host_site", record.dest_site))
         else:
-            record.state = DelegationState.CANCELLED
+            _advance(record, DelegationState.CANCELLED)
             self._checkpoint()
             if tracer is not None:
                 tracer.event("cancel-delivered", record.trace,
@@ -1646,12 +1603,12 @@ class FederationGateway:
         self._checkpoint()
 
     def _checkpoint(self) -> None:
-        """Persist the durable tables.  No-op without a vault.
+        """Persist the table.  No-op without a vault.
 
         Called after every mutation of snapshot-worthy state; crash
         points exist only at yields, so the vault is always current
-        when one lands.  Volatile state (leases, peer digests, backoff
-        clocks, in-flight handshake sets) is deliberately excluded.
+        when one lands.  Leases and peer digests are volatile and not
+        saved; the table's volatile facets are reset on restore.
         """
         if self.vault is None or self._crashed:
             return
@@ -1659,21 +1616,9 @@ class FederationGateway:
             site=self.site,
             taken_at=self.env.now,
             token_seq=self._token_seq,
-            delegations=dict(self.delegations),
-            pending_requests=dict(self._pending_requests),
-            pending_cancels=tuple(sorted(self._pending_cancels)),
-            unacked=dict(self._unacked),
-            commits=dict(self._commits),
-            foreign_jobs=dict(self._foreign_jobs),
-            intents=dict(self._intents),
-            counters={
-                "forwarded_out": self.forwarded_out,
-                "forwarded_in": self.forwarded_in,
-                "relayed_out": self.relayed_out,
-                "declined": self.declined,
-                "gossip_rounds": self.gossip_rounds,
-                "wan_transfer_seconds": self.wan_transfer_seconds,
-            },
+            records={job_id: _durable(record)
+                     for job_id, record in self.records.items()},
+            counters={name: getattr(self, name) for name in _COUNTERS},
         )
         self.vault.store("gateway", snap, snap.nbytes)
 
@@ -1683,34 +1628,21 @@ class FederationGateway:
         The WAN endpoint unbinds (peers see network errors), every
         flow terminating here fails, and every gateway-owned process —
         loops, in-flight forwards, notice deliveries — is interrupted.
-        The durable tables come back from the vault at :meth:`restart`;
+        The table comes back from the vault at :meth:`restart`;
         everything else is rebuilt or intentionally dropped.
         """
         if self._crashed:
             return
         self._crashed = True
-        self._incarnation += 1
         self.wan_rpc.unbind(self.site)
         self.fabric.kill_host_flows(self.site, reason="gateway crashed")
         procs, self._procs = self._procs, set()
         for proc in procs:
             if proc.is_alive:
                 proc.interrupt("gateway-crash")
-        self._gossip_proc = None
-        self._reconcile_proc = None
         self.peer_digests.clear()
-        self.delegations = {}
-        self._pending_requests = {}
-        self._pending_cancels = set()
-        self._foreign_jobs = {}
-        self._unacked = {}
-        self._commits = {}
-        self._intents = {}
-        self._inflight.clear()
-        self._retry_after.clear()
+        self.records = {}
         self._offers.clear()
-        self._committing.clear()
-        self._inbound_pending = 0
         self._reconcile_wake = None
         self._reconcile_kicked = False
         self._pass_running = False
@@ -1725,7 +1657,7 @@ class FederationGateway:
         self.platform.events.emit("gateway-crashed", site=self.site)
 
     def restart(self) -> None:
-        """Bring the gateway back: recover the vault, replay the books.
+        """Bring the gateway back: recover the vault, replay the table.
 
         Raises :class:`~repro.errors.SnapshotVersionError` (and stays
         down) when the persisted snapshot carries an incompatible
@@ -1742,22 +1674,11 @@ class FederationGateway:
         self._crashed = False
         self.restarts += 1
         if snap is not None:
-            self.delegations = dict(snap.delegations)
-            self._pending_requests = dict(snap.pending_requests)
-            self._pending_cancels = set(snap.pending_cancels)
-            self._unacked = dict(snap.unacked)
-            self._commits = dict(snap.commits)
-            self._foreign_jobs = dict(snap.foreign_jobs)
-            self._intents = dict(snap.intents)
+            self.records = {job_id: _durable(record)
+                            for job_id, record in snap.records.items()}
             self._token_seq = snap.token_seq
-            counters = snap.counters
-            self.forwarded_out = int(counters.get("forwarded_out", 0))
-            self.forwarded_in = int(counters.get("forwarded_in", 0))
-            self.relayed_out = int(counters.get("relayed_out", 0))
-            self.declined = int(counters.get("declined", 0))
-            self.gossip_rounds = int(counters.get("gossip_rounds", 0))
-            self.wan_transfer_seconds = float(
-                counters.get("wan_transfer_seconds", 0.0))
+            for name in _COUNTERS:
+                setattr(self, name, snap.counters.get(name, 0))
         self._bind_endpoint()
         self._start_loops()
         self.platform.events.emit("gateway-restarted", site=self.site,
@@ -1765,69 +1686,43 @@ class FederationGateway:
         self._recover()
 
     def _recover(self) -> None:
-        """Replay the books against what happened while we were down."""
+        """Replay the table against what happened while we were down."""
         coordinator = self.platform.coordinator
-        # 1. Classify crash-orphaned forward attempts from the
-        #    write-ahead journal.
-        intents, self._intents = self._intents, {}
-        for job_id in sorted(intents):
-            intent = intents[job_id]
-            state = coordinator.jobs.get(job_id)
-            if intent.claim_token is None:
+        # 1. Classify the sender legs a crash left in the journal.
+        for job_id in self._ids(lambda record: record.out is not None
+                                and record.out.state in JOURNAL_STATES):
+            record = self.records[job_id]
+            if record.out.state is DelegationState.OFFERED:
                 # Phase-1 crash: nothing durable happened at the peer
-                # beyond an expiring lease — requeue locally, with the
-                # usual decline backoff before the next forward try.
-                self.platform.events.emit("job-forward-requeued",
-                                          job_id=job_id,
-                                          dest=intent.dest_site)
-                if intent.request is not None and (
-                        state is None
-                        or state.status is not JobStatus.CANCELLED):
-                    self._retry_after[job_id] = (
-                        self.env.now + self.config.forward_retry_backoff)
-                    coordinator.queue.push(intent.request)
+                # beyond an expiring lease — requeue locally.
+                self._requeue(record, "job-forward-requeued")
                 continue
             # Phase-2 crash: the commit may have landed.  Park the
             # delegation as unknown outcome; the probe resolves it.
-            record = ForwardRecord(
-                job_id=job_id, dest_site=intent.dest_site,
-                forwarded_at=intent.started_at,
-                payload_bytes=intent.payload_bytes,
-                restore=intent.restore,
-                claim_token=intent.claim_token,
-                state=DelegationState.UNKNOWN,
-                origin_site=intent.origin_site,
-                upstream=intent.upstream,
-                shipped_progress=intent.shipped_progress,
-                trace=intent.trace,
-            )
-            self.delegations[job_id] = record
-            if intent.request is not None:
-                self._pending_requests[job_id] = intent.request
+            _advance(record.out, DelegationState.UNKNOWN)
             self.platform.events.emit("job-forward-unknown",
                                       job_id=job_id,
-                                      dest=intent.dest_site)
+                                      dest=record.out.dest_site)
         # 2. Settle hosted foreign jobs that reached a terminal state
         #    while the gateway was down (their completion events fired
         #    into a dead subscriber).
-        for job_id in sorted(self._foreign_jobs):
+        for job_id in self._ids(_hosting):
+            hosted = self.records[job_id].host
             state = coordinator.jobs.get(job_id)
             if state is None:
                 continue
             if state.status is JobStatus.CANCELLED:
-                entry = self._foreign_jobs.pop(job_id)
-                self._settle_foreign_cancellation(job_id, entry, state)
+                self._settle_foreign_cancellation(job_id, hosted, state)
             elif state.is_done:
-                entry = self._foreign_jobs.pop(job_id)
-                self._settle_foreign_completion(job_id, entry)
+                self._settle_foreign_completion(job_id, hosted)
         # 3. Cancellations requested while down exist only as
-        #    CANCELLED job states; re-derive the pending set.
-        for job_id, record in self.delegations.items():
-            if record.state in (DelegationState.COMMITTED,
-                                DelegationState.UNKNOWN):
+        #    CANCELLED job states; re-derive the pending cancels.
+        for job_id, record in self.records.items():
+            if record.out is not None and record.out.state in (
+                    DelegationState.COMMITTED, DelegationState.UNKNOWN):
                 state = coordinator.jobs.get(job_id)
                 if state is not None and state.status is JobStatus.CANCELLED:
-                    self._pending_cancels.add(job_id)
+                    record.out.cancel_pending = True
         self._checkpoint()
         self._kick_reconcile()
 
@@ -1836,20 +1731,19 @@ class FederationGateway:
     @property
     def hosted_foreign_count(self) -> int:
         """Foreign jobs currently hosted (not yet completed)."""
-        return len(self._foreign_jobs)
+        return len(self._ids(_hosting))
 
     @property
     def unresolved_delegations(self) -> int:
         """Delegations parked as unknown outcome (partition pending)."""
-        return sum(1 for record in self.delegations.values()
-                   if record.state is DelegationState.UNKNOWN)
+        return len(self._ids(_unknown))
 
     @property
     def pending_cancel_count(self) -> int:
         """Cancellations awaiting cross-WAN delivery."""
-        return len(self._pending_cancels)
+        return len(self._ids(_cancelling))
 
     @property
     def unacked_completion_count(self) -> int:
         """Completion notices the origin has not acknowledged yet."""
-        return len(self._unacked)
+        return len(self._ids(lambda record: record.notice is not None))

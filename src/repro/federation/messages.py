@@ -2,7 +2,7 @@
 
 The payloads gateways exchange over the WAN RPC layer: gossip-style
 capacity digests, the two-phase forward handshake (offer →
-claim-token → commit-ack), and the origin-side record of a delegation.
+claim-token → commit-ack), and the rows of a gateway's per-job table.
 Like the campus control plane, these are plain dataclasses — the RPC
 layer charges their (small) serialized size against the WAN links, so
 control traffic competes with bulk checkpoint replication exactly as
@@ -156,8 +156,14 @@ class ForwardEnvelope:
 
 
 class DelegationState(Enum):
-    """Origin-side lifecycle of one delegation."""
+    """Sender-side lifecycle of one forward leg."""
 
+    #: Journaled before the offer leaves; no claim token yet.  A crash
+    #: here requeues the job: nothing durable exists at the peer.
+    OFFERED = "offered"
+    #: Claim token held, journaled before the commit leaves.  A crash
+    #: here parks the leg :attr:`UNKNOWN`: the commit may have landed.
+    CLAIMED = "claimed"
     #: The host acknowledged the commit; the job runs remotely.
     COMMITTED = "committed"
     #: The commit's outcome is ambiguous (response leg lost / timed
@@ -170,13 +176,33 @@ class DelegationState(Enum):
     CANCELLED = "cancelled"
 
 
+#: Sender phases that are the write-ahead journal, not yet a delegation.
+JOURNAL_STATES = frozenset({DelegationState.OFFERED, DelegationState.CLAIMED})
+
+
+class HostingState(Enum):
+    """Host-side lifecycle of one inbound leg."""
+
+    #: The commit's payload pull is running.  Volatile: a restart
+    #: drops the leg, exactly as the crash killed the pull.
+    COMMITTING = "committing"
+    #: Committed and submitted locally; settles on completion, cancel,
+    #: or relay onward.
+    HOSTED = "hosted"
+    #: Settled.  The leg stays so a replayed commit is answered from
+    #: its claim token instead of scheduling the job twice.
+    SETTLED = "settled"
+
+
 @dataclass(slots=True)
 class ForwardRecord:
-    """Sender-side record of one delegation to a peer site.
+    """Sender-side leg of one forward to a peer site.
 
     Kept both by the true origin and by every relay along the chain —
     each hop records only its *own* outgoing leg, so probes, cancels,
-    and completion notices all travel hop by hop.
+    and completion notices all travel hop by hop.  The leg starts at
+    the offer: in :data:`JOURNAL_STATES` it is the write-ahead journal
+    a restarted gateway classifies (see ``FederationGateway._recover``).
     """
 
     job_id: str
@@ -187,7 +213,7 @@ class ForwardRecord:
     transfer_seconds: float = 0.0
     completed_at: Optional[float] = None
     claim_token: str = ""
-    state: DelegationState = DelegationState.COMMITTED
+    state: DelegationState = DelegationState.OFFERED
     #: The job's true origin, or ``None`` when this site *is* the
     #: origin.  Set on relay records: it marks the delegation as one
     #: whose completion notice must chain onward to :attr:`upstream`.
@@ -206,82 +232,73 @@ class ForwardRecord:
     #: (``None`` when tracing is off).  Probe, cancel, and completion
     #: spans for the delegation parent under it.
     trace: Optional["TraceContext"] = None
+    #: The request being forwarded — what a phase-1 crash or an
+    #: ``absent`` probe requeues.
+    request: Optional["ResourceRequest"] = None
+    #: The user cancelled the job; the reconciliation pass delivers
+    #: the cancellation to :attr:`dest_site` (idempotent there, so the
+    #: effect is at-most-once).
+    cancel_pending: bool = False
 
 
 @dataclass(slots=True)
-class ForwardIntent:
-    """Write-ahead record of one in-flight outbound forward attempt.
+class HostRecord:
+    """Host-side leg of one job this site accepted from a peer."""
 
-    Journaled to the gateway's vault *before* the offer RPC leaves and
-    upgraded with the claim token *before* the commit RPC leaves, so a
-    restarted gateway can classify an attempt its crash orphaned:
+    origin_site: str
+    #: Durable progress the job arrived with — never billed here.
+    arrival_progress: float
+    relay_path: Tuple[str, ...]
+    #: The claim token the commit consumed.
+    claim_token: str
+    state: HostingState = HostingState.COMMITTING
 
-    * no token — the handshake died in phase 1.  Nothing durable can
-      have happened at the peer (a lost offer costs at most a lease
-      timeout there), so the job is safe to requeue locally;
-    * token present — the commit may have landed.  The job parks as an
-      :attr:`DelegationState.UNKNOWN` delegation and resolves through
-      the idempotent ``forward-status`` probe, exactly like a commit
-      whose acknowledgement the WAN ate.
+
+@dataclass(slots=True)
+class JobRecord:
+    """One job's row in a gateway's protocol table.
+
+    A relay hosts a job and forwards it onward at once, so a row holds
+    both legs side by side, plus the completion notice this site owes
+    its previous hop.
     """
 
     job_id: str
-    dest_site: str
-    started_at: float
-    payload_bytes: float
-    restore: bool
-    shipped_progress: float = 0.0
-    claim_token: Optional[str] = None
-    #: True origin / previous hop, mirroring :class:`ForwardRecord`
-    #: (``None`` at the true origin).
-    origin_site: Optional[str] = None
-    upstream: Optional[str] = None
-    #: The request being forwarded — what a phase-1 crash requeues.
-    request: Optional["ResourceRequest"] = None
-    #: The sender-side ``forward`` span (kept so a post-restart
-    #: delegation record stays parented — no orphan spans).
-    trace: Optional["TraceContext"] = None
+    out: Optional[ForwardRecord] = None
+    host: Optional[HostRecord] = None
+    #: Completion notice the previous hop has not acknowledged yet:
+    #: ``(upstream site, payload)``.
+    notice: Optional[Tuple[str, dict]] = None
+    #: No new offer before this time after a decline (volatile).
+    retry_after: float = 0.0
 
 
 #: Current :class:`GatewaySnapshot` layout version.  Bump on any
 #: incompatible change; recovery rejects other versions with
 #: :class:`~repro.errors.SnapshotVersionError`.
-GATEWAY_SNAPSHOT_VERSION = 1
+GATEWAY_SNAPSHOT_VERSION = 2
 
 
 @dataclass(slots=True)
 class GatewaySnapshot:
     """Everything a federation gateway must recover after a restart.
 
-    Durable state only: delegation records, requests parked on unknown
-    outcomes, pending cross-WAN cancels, unacked completion notices,
-    the idempotency table of committed claim tokens, hosted foreign
-    jobs, write-ahead forward intents, and the claim-token sequence
-    (monotonicity across restarts keeps tokens unique).  Deliberately
-    absent: capacity leases, peer digests, backoff clocks, in-flight
-    handshakes — all safely reconstructible or intentionally dropped.
+    Durable state only: the per-job protocol table and the claim-token
+    sequence (monotonicity across restarts keeps tokens unique).
+    Capacity leases, peer digests and in-flight handshakes are
+    deliberately absent, as are the table's volatile facets: an
+    inbound leg whose payload pull is running, and the backoff clock.
     """
 
     site: str
     taken_at: float
     version: int = GATEWAY_SNAPSHOT_VERSION
     token_seq: int = 1
-    delegations: Dict[str, ForwardRecord] = field(default_factory=dict)
-    pending_requests: Dict[str, "ResourceRequest"] = field(
-        default_factory=dict)
-    pending_cancels: Tuple[str, ...] = ()
-    unacked: Dict[str, tuple] = field(default_factory=dict)
-    commits: Dict[str, str] = field(default_factory=dict)
-    foreign_jobs: Dict[str, tuple] = field(default_factory=dict)
-    intents: Dict[str, ForwardIntent] = field(default_factory=dict)
+    records: Dict[str, JobRecord] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> float:
         """Modeled on-disk size: a fixed header plus a small record
-        per table entry (the spec/checkpoint bulk lives elsewhere)."""
-        entries = (len(self.delegations) + len(self.pending_requests)
-                   + len(self.pending_cancels) + len(self.unacked)
-                   + len(self.commits) + len(self.foreign_jobs)
-                   + len(self.intents))
-        return 512.0 + 256.0 * entries
+        per job (the spec/checkpoint bulk lives elsewhere)."""
+        return 512.0 + 256.0 * len(self.records)

@@ -9,15 +9,17 @@ once federation-wide, the credit ledger conserves, no reconciliation
 work is stranded, and (with tracing on) no span is orphaned by a
 crash-straddled operation.
 
-Gateway recovery is snapshot-based: the durable books (delegations,
-pending cancels, unacked notices, the claim-token idempotency table,
-hosted foreign jobs, and the write-ahead forward-intent journal) come
-back from a :class:`~repro.storage.StateVault`; a phase-1 intent is
-requeued, a phase-2 intent is parked as unknown outcome and resolved
-by the idempotent ``forward-status`` probe.
+Gateway recovery is snapshot-based: the gateway's one per-job table —
+each job's sender leg, inbound hosting leg and unacked completion
+notice — comes back from a :class:`~repro.storage.StateVault`.  The
+sender leg doubles as the write-ahead journal: a leg still ``OFFERED``
+(phase 1) is requeued, a ``CLAIMED`` one (phase 2) is parked as
+unknown outcome and resolved by the idempotent ``forward-status``
+probe.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +33,11 @@ from repro.federation import (
     FaultWindow,
     FederatedDeployment,
     FederationConfig,
+    ForwardRecord,
     GatewaySnapshot,
+    HostingState,
 )
+from repro.federation.gateway import _advance
 from repro.gpu.specs import RTX_3090, RTX_4090
 from repro.units import HOUR, MINUTE
 from repro.workloads.models import RESNET50
@@ -72,6 +77,12 @@ def _completions(fed, job_id):
         for event in handle.platform.events.of_kind("job-completed")
         if event.payload.get("job_id") == job_id
     )
+
+
+def _out_phase(gateway, job_id):
+    """The phase of the job's sender leg at ``gateway`` (None: no leg)."""
+    record = gateway.records.get(job_id)
+    return record.out.state if record is not None and record.out else None
 
 
 def _forced_forward(fed, north, victim_compute=30 * MINUTE):
@@ -119,31 +130,29 @@ def test_gateway_crash_at_every_protocol_phase(phase, seed):
         # Intent journaled, no claim token yet: the handshake is in
         # phase 1 and nothing durable exists at the host.
         target, downtime = origin, 120.0
-        cond = (lambda: job_id in origin._intents
-                and origin._intents[job_id].claim_token is None)
+        cond = lambda: _out_phase(origin, job_id) is DelegationState.OFFERED
     elif phase == "claim":
         # Token granted, commit not yet concluded: the crash must park
         # the delegation as unknown, never requeue it blindly.
         target, downtime = origin, 120.0
-        cond = (lambda: job_id in origin._intents
-                and origin._intents[job_id].claim_token is not None)
+        cond = lambda: _out_phase(origin, job_id) is DelegationState.CLAIMED
     elif phase == "commit":
         # The host is mid-commit (payload pull running).
         target, downtime = host, 120.0
-        cond = lambda: job_id in host._committing
+        cond = lambda: host._inbound(job_id, HostingState.COMMITTING)
     elif phase == "completion-notice":
         # Sever the WAN so the completion notice parks unacked, then
         # kill the host holding it.
         target, downtime = host, 120.0
-        _run_until(fed, lambda: job_id in host._foreign_jobs,
+        _run_until(fed, lambda: host._inbound(job_id, HostingState.HOSTED),
                    step=1.0, limit=4 * HOUR)
         fed.sever("north", "south")
-        cond = lambda: job_id in host._unacked
+        cond = lambda: getattr(host.records.get(job_id), "notice", None)
     else:  # settle
         # The foreign job is running; the gateway dies and stays dead
         # across the completion, so settlement happens in recovery.
         target, downtime = host, 2 * HOUR
-        cond = (lambda: job_id in host._foreign_jobs
+        cond = (lambda: host._inbound(job_id, HostingState.HOSTED)
                 and south.coordinator.jobs.get(job_id) is not None
                 and south.coordinator.jobs[job_id].status
                 is JobStatus.RUNNING)
@@ -169,14 +178,13 @@ def test_phase1_crash_requeues_from_the_intent_journal():
     fed, north, south = _pair(seed=7)
     blocker, victim = _forced_forward(fed, north)
     origin = north.gateway
-    _run_until(fed, lambda: victim.job_id in origin._intents
-               and origin._intents[victim.job_id].claim_token is None,
-               step=0.01, limit=2 * HOUR)
+    _run_until(fed, lambda: _out_phase(origin, victim.job_id)
+               is DelegationState.OFFERED, step=0.01, limit=2 * HOUR)
     origin.crash()
     fed.run(until=fed.env.now + 60)
     origin.restart()
     assert north.platform.events.count("job-forward-requeued") == 1
-    assert victim.job_id not in origin.delegations
+    assert origin._delegation(victim.job_id) is None
     fed.run(until=36 * HOUR)
     _assert_invariants(fed, [blocker, victim])
 
@@ -188,14 +196,13 @@ def test_phase2_crash_parks_unknown_and_probes():
     fed, north, south = _pair(seed=7)
     blocker, victim = _forced_forward(fed, north)
     origin = north.gateway
-    _run_until(fed, lambda: victim.job_id in origin._intents
-               and origin._intents[victim.job_id].claim_token is not None,
-               step=0.01, limit=2 * HOUR)
+    _run_until(fed, lambda: _out_phase(origin, victim.job_id)
+               is DelegationState.CLAIMED, step=0.01, limit=2 * HOUR)
     origin.crash()
     fed.run(until=fed.env.now + 60)
     origin.restart()
     assert north.platform.events.count("job-forward-unknown") == 1
-    record = origin.delegations[victim.job_id]
+    record = origin._delegation(victim.job_id)
     assert record.state is DelegationState.UNKNOWN
     assert record.claim_token
     fed.run(until=36 * HOUR)
@@ -215,12 +222,13 @@ def test_coordinator_death_in_claim_commit_window(side, point):
     blocker, victim = _forced_forward(fed, north, victim_compute=1 * HOUR)
     origin = north.gateway
     if point == "after-claim":
-        cond = (lambda: victim.job_id in origin._intents
-                and origin._intents[victim.job_id].claim_token is not None)
+        cond = (lambda: _out_phase(origin, victim.job_id)
+                is DelegationState.CLAIMED)
     else:
         # The host accepted the commit and is importing; the ack has
         # not reached the origin yet.
-        cond = lambda: victim.job_id in south.gateway._committing
+        cond = lambda: south.gateway._inbound(victim.job_id,
+                                              HostingState.COMMITTING)
     _run_until(fed, cond, step=0.01, limit=2 * HOUR)
     ha = fed.failover[side]
     assert ha.crash() == "a"
@@ -278,21 +286,73 @@ def test_snapshot_roundtrip_preserves_inflight_relay_fees():
     surplus = alpha.platform.submit_job(_job(compute=1 * HOUR))
     fed.run(until=101)
     home = bravo.platform.submit_job(_job(compute=4 * HOUR))
-    _run_until(fed, lambda: surplus.job_id in charlie.gateway._foreign_jobs,
+    _run_until(fed, lambda: charlie.gateway._inbound(surplus.job_id,
+                                                     HostingState.HOSTED),
                step=10.0, limit=6 * HOUR)
     assert bravo.gateway.relayed_out == 1
-    # The relay's books die with it...
+    # The relay holds both legs of the job: the settled inbound one and
+    # the committed onward one.
+    relayed = bravo.gateway.records[surplus.job_id]
+    assert relayed.host.state is HostingState.SETTLED
+    assert relayed.out.state is DelegationState.COMMITTED
+    before = {job_id: (replace(record.out) if record.out else None,
+                       replace(record.host) if record.host else None,
+                       record.notice)
+              for job_id, record in bravo.gateway.records.items()}
+    # The relay's table dies with it...
     bravo.gateway.crash()
     fed.run(until=fed.env.now + 5 * MINUTE)
     bravo.gateway.restart()
-    # ...and come back: the onward delegation record still exists.
-    assert surplus.job_id in bravo.gateway.delegations
+    # ...and comes back: the onward delegation record still exists, and
+    # every leg and notice equals its pre-crash value.
+    assert bravo.gateway._delegation(surplus.job_id) is not None
+    assert {job_id: (record.out, record.host, record.notice)
+            for job_id, record in bravo.gateway.records.items()} == before
     assert bravo.gateway.relayed_out == 1
     fed.run(until=24 * HOUR)
     fee = 1.0 * fed.federation_config.relay_fee_fraction
     assert fed.ledger.relay_fees_earned("bravo") == pytest.approx(fee)
     assert fed.ledger.balance("charlie") == pytest.approx(1.0)
     _assert_invariants(fed, [local, surplus, home])
+
+
+def test_same_instant_crash_and_restart_mid_commit_keeps_digest_honest():
+    """A host crashes and restarts in one instant while a commit's
+    payload pull runs.  The killed pull must not release a reservation
+    the restart already dropped: a negative reservation would advertise
+    more cards than the site has, the over-report signature peers
+    strike on."""
+    fed, north, south = _pair(seed=7)
+    blocker, victim = _forced_forward(fed, north)
+    host = south.gateway
+    _run_until(fed, lambda: host._inbound(victim.job_id,
+                                          HostingState.COMMITTING),
+               step=0.01, limit=2 * HOUR)
+    # A snapshot taken mid-pull, as any other job's protocol step would
+    # write one: the restart must not resurrect the killed pull.
+    host._checkpoint()
+    host.crash()
+    host.restart()
+    fed.run(until=fed.env.now + 60)
+    assert south.platform.events.count("forward-commit-aborted") == 1
+    # South is idle again: both its cards are free and nothing is
+    # reserved — neither over- nor under-reported.
+    digest = host.local_digest()
+    assert digest.free_gpus == 2
+    assert digest.queue_pressure == 0
+    fed.run(until=36 * HOUR)
+    _assert_invariants(fed, [blocker, victim])
+
+
+def test_advance_rejects_an_illegal_transition():
+    """Phases move only along the protocol's edges: a completed
+    delegation never becomes an ambiguous one again."""
+    leg = ForwardRecord(job_id="job-x", dest_site="south", forwarded_at=0.0,
+                        payload_bytes=0.0, restore=False,
+                        state=DelegationState.COMPLETED)
+    with pytest.raises(ValueError):
+        _advance(leg, DelegationState.UNKNOWN)
+    assert leg.state is DelegationState.COMPLETED
 
 
 def test_snapshot_roundtrip_preserves_pending_cross_wan_cancel():
@@ -456,7 +516,10 @@ def test_chaos_reconciliation_drains_and_ledger_conserves(chaos):
     for handle in fed.sites.values():
         assert handle.gateway.unresolved_delegations == 0
         assert handle.gateway.unacked_completion_count == 0
-        assert not handle.gateway._intents
+        assert not any(
+            _out_phase(handle.gateway, job_id) in (DelegationState.OFFERED,
+                                                   DelegationState.CLAIMED)
+            for job_id in handle.gateway.records)
 
 
 def test_chaos_traces_stay_orphan_free(chaos):

@@ -323,7 +323,8 @@ def test_cross_wan_cancel_terminates_delegated_job_at_host():
         for _ in range(2)
     ]
     fed.run(until=800)  # one job delegated to south, still running there
-    delegated = next(j for j in jobs if j.job_id in north.gateway.delegations)
+    delegated = next(j for j in jobs
+                     if north.gateway._delegation(j.job_id) is not None)
     north.coordinator.cancel_job(delegated.job_id)
     assert delegated.status is JobStatus.CANCELLED
     fed.run(until=12 * HOUR)
@@ -337,7 +338,7 @@ def test_cross_wan_cancel_terminates_delegated_job_at_host():
     assert north.platform.events.count("job-cancel-delivered") == 1
     assert north.platform.events.count("job-cancel-lost-race") == 0
     assert north.gateway.pending_cancel_count == 0
-    record = north.gateway.delegations[delegated.job_id]
+    record = north.gateway._delegation(delegated.job_id)
     assert record.state is DelegationState.CANCELLED
     assert south.gateway.hosted_foreign_count == 0
     # The GPU-hours south actually burned before the cancel are billed.

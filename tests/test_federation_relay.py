@@ -119,7 +119,7 @@ def test_two_hop_relay_places_job_and_pays_relay_fee():
     # Provenance survived both hops.
     arrivals = charlie.platform.events.of_kind("job-forwarded-in")
     assert arrivals and arrivals[0].payload["origin"] == "alpha"
-    record = bravo.gateway.delegations[surplus.job_id]
+    record = bravo.gateway._delegation(surplus.job_id)
     assert record.origin_site == "alpha"
     assert record.upstream == "alpha"
     assert record.state is DelegationState.COMPLETED

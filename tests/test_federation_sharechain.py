@@ -16,6 +16,7 @@ from dataclasses import replace
 
 from repro.federation import (
     CreditLedger,
+    DelegationState,
     FederatedDeployment,
     FederationConfig,
     PeerTrust,
@@ -392,9 +393,10 @@ def test_quarantine_during_inflight_forward_preserves_exactly_once():
     fed, north, south = _verified_pair()
     blocker, victim = _forced_forward(fed, north)
     origin = north.gateway
-    _run_until(fed, lambda: victim.job_id in origin._intents
-               and origin._intents[victim.job_id].claim_token is not None,
-               step=0.01, limit=2 * HOUR)
+    _run_until(fed, lambda: getattr(origin.records.get(victim.job_id),
+                                    "out", None) is not None
+               and origin.records[victim.job_id].out.state
+               is DelegationState.CLAIMED, step=0.01, limit=2 * HOUR)
     origin._apply_strike("south", "overbilled", definitive=True)
     assert origin.trust.blocks("south")
     assert "south" not in origin.peer_digests
