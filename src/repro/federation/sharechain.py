@@ -216,10 +216,13 @@ class ShareChain:
 
     def entries_after(self, acked: Dict[str, int]) -> List[SignedEntry]:
         """Every accepted entry the peer (per its acked heads) lacks."""
+        # An accepted chain holds seqs 1..n in order, so the entries
+        # past seq ``floor`` are the slice from index ``floor``.  The
+        # clamp keeps a negative ack from slicing off only the tail.
         delta: List[SignedEntry] = []
         for signer in sorted(self._chains):
             floor = int(acked.get(signer, 0))
-            delta.extend(s for s in self._chains[signer] if s.seq > floor)
+            delta.extend(self._chains[signer][max(0, floor):])
         return delta
 
     def height(self) -> int:

@@ -9,7 +9,7 @@ times reflect real contention rather than a fixed per-transfer rate.
 
 The engine is the costly path of the whole simulation.  Rate
 recomputation happens only on flow arrival/completion/topology change,
-and three structural optimizations keep each recomputation cheap:
+and four structural optimizations keep each recomputation cheap:
 
 * **Heap-driven progressive filling** — :func:`max_min_rates` tracks
   per-link residual capacity and unfrozen-flow counts and pops the
@@ -33,6 +33,12 @@ and three structural optimizations keep each recomputation cheap:
   indexed by that number; it reads the link index's live member
   buckets and counts unfrozen flows instead of copying lists and sets
   per event.  The lazy settle arithmetic is inlined on the hot loops.
+* **Solo flows** — a flow whose links carry no other flow is its own
+  component, so the walk is skipped, and the classless engine gives
+  it the smallest of its links' ``capacity / 1`` shares without a
+  fill: the exact float a one-flow progressive fill freezes it at.  A
+  quiet fabric (RPC legs between otherwise idle hosts) reallocates
+  almost only such components.
 
 The engine runs in one of two settle disciplines:
 
@@ -772,6 +778,18 @@ class FlowNetwork:
         subsequent reallocation wants.
         """
         index = self._link_index
+        if len(seeds) == 1 and not self._class_caps:
+            # A lone seed whose links carry nothing else is its own
+            # component (a class cap makes every scope global, below).
+            seed = seeds[0]
+            buckets = {}
+            for link in seed.links:
+                bucket = index[link]
+                if len(bucket) != 1:
+                    break
+                buckets[link] = bucket
+            else:
+                return {seed.flow_id: seed}, buckets
         everyone = len(self._flows)
         # A class cap is global state: the proportional rescale must
         # see the class's *whole* aggregate rate, so while a cap is
@@ -854,6 +872,17 @@ class FlowNetwork:
                 rates = qos_max_min_rates(
                     flows, self.qos,
                     self._class_caps if self._class_caps else None)
+            elif len(flows) == 1:
+                # A one-flow fill freezes the flow at its smallest
+                # link share, each computed as the fill computes it.
+                solo = flows[0]
+                rate = math.inf
+                for link in solo.links:
+                    capacity = link.capacity
+                    share = capacity / 1 if capacity > 0.0 else 0.0
+                    if share < rate:
+                        rate = share
+                rates[solo] = rate
             else:
                 # Link tie-break order is first touch by a flow in id
                 # order, exactly as max_min_rates derives it.

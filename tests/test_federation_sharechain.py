@@ -92,6 +92,24 @@ def test_honest_entries_replicate_and_fold():
     assert observer.rejected_total == 0
     # entries_after respects the peer's ack floor.
     assert [s.seq for s in author.entries_after({"alpha": 1})] == [2]
+    # A negative floor is below every seq, a floor past the head
+    # leaves nothing, and a signer the peer never acked is sent whole.
+    assert [s.seq for s in author.entries_after({"alpha": -1})] == [1, 2]
+    assert author.entries_after({"alpha": 3}) == []
+    assert [s.seq for s in author.entries_after({"bravo": 1})] == [1, 2]
+    # Purging one signer leaves the survivors' suffixes intact.
+    ring.register("charlie")
+    third = ShareChain("charlie", ring)
+    assert observer.ingest(third.append(_entry(
+        donor="charlie", beneficiary="bravo", job_id="j-3"))) is None
+    observer.append(_entry(donor="bravo", beneficiary="alpha",
+                           job_id="j-4"))
+    assert observer.purge_signer("charlie") == 1
+    for signer in ("alpha", "bravo"):
+        for floor in range(-1, 4):
+            assert observer.entries_after({signer: floor}) == [
+                s for s in observer.accepted_entries()
+                if s.signer != signer or s.seq > floor]
 
 
 # -- every rejection reason -------------------------------------------------

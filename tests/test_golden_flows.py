@@ -300,7 +300,7 @@ def run_wan_churn(engine_cls, seed):
 
     env.process(driver(env))
     env.run()
-    trace.append(("end", env.now, net.flows_completed))
+    trace.append(("end", env.now, net.flows_completed, net.reallocations))
     return trace
 
 

@@ -97,6 +97,20 @@ def test_hooks_attachable_mid_run():
     env.timeout(5.0)
     env.run()
     assert profile.events_dispatched > 0
+    # Attached by a process inside one run(): the loop must see the
+    # hooks from the next event on, not only on the next run().
+    env = Environment()
+    late = KernelProfile()
+
+    def attach_then_wait(env):
+        yield env.timeout(1.0)
+        env.hooks = late
+        for _ in range(3):
+            yield env.timeout(1.0)
+
+    env.process(attach_then_wait(env))
+    env.run()
+    assert late.events_dispatched >= 3
 
 
 def test_kernel_profile_counters():
