@@ -33,12 +33,11 @@ and four structural optimizations keep each recomputation cheap:
   indexed by that number; it reads the link index's live member
   buckets and counts unfrozen flows instead of copying lists and sets
   per event.  The lazy settle arithmetic is inlined on the hot loops.
-* **Solo flows** — a flow whose links carry no other flow is its own
-  component, so the walk is skipped, and the classless engine gives
-  it the smallest of its links' ``capacity / 1`` shares without a
-  fill: the exact float a one-flow progressive fill freezes it at.  A
-  quiet fabric (RPC legs between otherwise idle hosts) reallocates
-  almost only such components.
+* **Solo flows** — the classless engine gives a one-flow component
+  the smallest of its links' ``capacity / 1`` shares without a fill:
+  the exact float a one-flow progressive fill freezes it at.  A quiet
+  fabric (RPC legs between otherwise idle hosts) reallocates almost
+  only such components.
 
 The engine runs in one of two settle disciplines:
 
@@ -778,18 +777,6 @@ class FlowNetwork:
         subsequent reallocation wants.
         """
         index = self._link_index
-        if len(seeds) == 1 and not self._class_caps:
-            # A lone seed whose links carry nothing else is its own
-            # component (a class cap makes every scope global, below).
-            seed = seeds[0]
-            buckets = {}
-            for link in seed.links:
-                bucket = index[link]
-                if len(bucket) != 1:
-                    break
-                buckets[link] = bucket
-            else:
-                return {seed.flow_id: seed}, buckets
         everyone = len(self._flows)
         # A class cap is global state: the proportional rescale must
         # see the class's *whole* aggregate rate, so while a cap is

@@ -27,7 +27,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import math
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -485,21 +484,11 @@ class Environment:
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        limit = math.inf if until is None else until
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            when = queue[0][0]
-            if when > limit:
+        while self._queue:
+            when = self._queue[0][0]
+            if until is not None and when > until:
                 self._now = until
                 return
-            # Untraced events pop and fire inline; the hooks are read
-            # per event, so hooks attached mid-run see the next one.
-            if self._hooks is None:
-                event = pop(queue)[2]
-                self._now = when
-                event._fire()
-            else:
-                self.step()
+            self.step()
         if until is not None:
             self._now = until
