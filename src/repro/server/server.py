@@ -5,7 +5,10 @@
 *continuously*: a driver thread maps wall-clock onto the simulation
 clock (``time_scale`` sim-seconds per wall-second, or free-running),
 while an HTTP API accepts work the way the paper's real platform
-would:
+would.  The driver advances the clock in ``chunk``-second steps and
+releases the lock between them.  It sleeps only when a scaled clock
+has caught up with its wall-clock target; free-running, or scaled and
+behind, it just yields the GIL and steps again.  The HTTP API:
 
 * ``POST /jobs`` — submit a training job (``202`` with the job
   document; ``429`` + ``Retry-After`` when the target site's queue is
@@ -92,9 +95,12 @@ class SimulationServer(StatusEndpoint):
     """Runs a compiled scenario continuously behind an HTTP API.
 
     ``time_scale`` is simulation seconds advanced per wall-clock
-    second (e.g. ``3600.0`` = one sim-hour per wall-second).  ``None``
-    means free-running: the driver advances ``chunk`` sim-seconds per
-    lock hold, flat out — the mode tests and load generators want.
+    second (e.g. ``3600.0`` = one sim-hour per wall-second), honoured
+    whenever the simulation can keep up: the driver runs ``chunk``
+    sim-seconds per lock hold until it reaches its target, then sleeps
+    20 ms.  ``None`` means free-running: the driver advances ``chunk``
+    sim-seconds per lock hold flat out, yielding between chunks but
+    never sleeping — the mode tests and load generators want.
 
     ``max_queue_depth`` bounds admission per site: when the target
     coordinator already has that many unplaced requests, ``POST
@@ -144,6 +150,7 @@ class SimulationServer(StatusEndpoint):
         self._stop_driving = threading.Event()
         self._wall_start = 0.0
         self._sim_start = 0.0
+        self._driver_error: Optional[BaseException] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -174,21 +181,35 @@ class SimulationServer(StatusEndpoint):
         return attrs
 
     def _drive(self) -> None:
-        """Advance the sim clock toward its wall-clock target."""
-        while not self._stop_driving.is_set():
-            with self.lock:
-                now = self.deployment.env.now
-                if self.time_scale is None:
-                    target = now + self.chunk
+        """Advance the sim clock toward its wall-clock target.
+
+        An exception out of the simulation ends the thread (the default
+        thread hook prints it) and is kept for :meth:`audit`.
+        """
+        try:
+            while not self._stop_driving.is_set():
+                caught_up = False
+                with self.lock:
+                    now = self.deployment.env.now
+                    until = now + self.chunk
+                    if self.time_scale is not None:
+                        elapsed = time.monotonic() - self._wall_start
+                        target = self._sim_start + elapsed * self.time_scale
+                        caught_up = target <= until
+                        until = min(until, target)
+                    if until > now:
+                        self.deployment.run(until=until)
+                # Out of the lock, so request threads get it between
+                # chunks.  Free-running, or scaled and still behind its
+                # wall-clock target, the driver only yields the GIL; a
+                # scaled clock that has caught up waits out the gap.
+                if caught_up:
+                    self._stop_driving.wait(0.02)
                 else:
-                    elapsed = time.monotonic() - self._wall_start
-                    target = self._sim_start + elapsed * self.time_scale
-                if target > now:
-                    self.deployment.run(until=min(target, now + self.chunk))
-            # Yield the lock so request threads are never starved; in
-            # scaled mode also wait out the wall-clock gap.
-            self._stop_driving.wait(
-                0.001 if self.time_scale is None else 0.02)
+                    time.sleep(0)
+        except BaseException as error:
+            self._driver_error = error
+            raise
 
     def run_until_idle(self, extra: float = 5 * MINUTE,
                        timeout: float = 60.0) -> None:
@@ -198,6 +219,9 @@ class SimulationServer(StatusEndpoint):
         deadline = time.monotonic() + timeout
         pending: List[str] = list(self._api_jobs)
         while time.monotonic() < deadline:
+            if self._driver_error is not None:
+                raise RuntimeError(
+                    "the simulation driver stopped") from self._driver_error
             with self.lock:
                 pending = [job_id for job_id in self._api_jobs
                            if self._status_of(job_id) not in
@@ -356,6 +380,9 @@ class SimulationServer(StatusEndpoint):
         from ..scenarios.runner import LEDGER_TOLERANCE
         with self.lock:
             violations: List[str] = []
+            if self._driver_error is not None:
+                violations.append(
+                    f"driver: stopped by {self._driver_error!r}")
             duplicates = self.deployment.duplicate_executions()
             if duplicates:
                 violations.append(

@@ -9,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ScenarioSpec, compile_scenario
 from repro.server import SimulationServer
 
 TERMINAL = {"completed", "failed", "cancelled"}
@@ -195,15 +195,71 @@ def test_status_and_traces_still_served(server):
     assert code == 200
 
 
-def test_time_scale_maps_wall_to_sim():
-    srv = SimulationServer(quiet_scenario(), seed=3, time_scale=100.0)
+@pytest.mark.parametrize("time_scale", [100.0, 3600.0])
+def test_time_scale_maps_wall_to_sim(time_scale):
+    srv = SimulationServer(quiet_scenario(), seed=3, time_scale=time_scale)
+    sim_start = srv.deployment.env.now
+    began = time.monotonic()
     srv.start()
     try:
         time.sleep(1.0)
         with srv.lock:
-            now = srv.deployment.env.now
-        # ~100 sim-seconds per wall-second, generous bounds for CI
-        assert 20.0 <= now <= 500.0
+            covered = srv.deployment.env.now - sim_start
+            wall = time.monotonic() - began
+        # the clock keeps time_scale sim-seconds per wall-second
+        assert 0.6 <= covered / (time_scale * wall) <= 1.2
+    finally:
+        srv.stop()
+
+
+def test_free_running_driver_keeps_pace_with_a_bare_run_loop():
+    """Free-running, the driver yields between chunks but does not
+    sleep, so it covers sim time at a good share of a bare run loop's
+    rate on the same host."""
+    deployment = compile_scenario(quiet_scenario(), seed=2).deployment
+    sim_start = deployment.env.now
+    began = time.monotonic()
+    while time.monotonic() - began < 0.5:
+        deployment.run(until=deployment.env.now + 30.0)
+    bare_rate = (deployment.env.now - sim_start) / (time.monotonic() - began)
+
+    srv = SimulationServer(quiet_scenario(), seed=2)
+    sim_start = srv.deployment.env.now
+    began = time.monotonic()
+    srv.start()
+    try:
+        time.sleep(0.5)
+        with srv.lock:
+            covered = srv.deployment.env.now - sim_start
+            wall = time.monotonic() - began
+    finally:
+        srv.stop()
+    assert covered / wall >= 0.25 * bare_rate
+
+
+def test_a_crashed_driver_is_reported(monkeypatch):
+    """An exception out of the simulation ends the driver thread, goes
+    to the thread excepthook (which prints it by default), and shows in
+    audit() and run_until_idle() instead of a silently frozen clock."""
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    srv = SimulationServer(quiet_scenario(), seed=6)
+
+    def boom(_arg):
+        raise RuntimeError("boom")
+
+    srv.deployment.env.call_later(60.0, boom)
+    url = srv.start()
+    try:
+        driver = srv._driver
+        driver.join(timeout=10.0)
+        assert not driver.is_alive()
+        assert [type(args.exc_value) for args in hooked] == [RuntimeError]
+        assert srv.audit() == ["driver: stopped by RuntimeError('boom')"]
+        with pytest.raises(RuntimeError, match="driver stopped"):
+            srv.run_until_idle(timeout=5.0)
+        code, _headers, _body = request(url + "/status")
+        assert code == 200
     finally:
         srv.stop()
 
