@@ -40,12 +40,23 @@ from ..observability.trace import Tracer
 from ..sim import Environment
 from ..sim.rng import derive_seed
 from ..storage import StateVault, Volume
-from .adversary import BYZANTINE_MODES, ByzantineAdversary
+from .adversary import (BYZANTINE_MODES, CHAIN_VISIBLE_MODES,
+                        ByzantineAdversary)
 from .faults import CRASH_KINDS, FaultDriver, FaultSchedule, FaultWindow
 from .gateway import FederationGateway
 from .ledger import CreditLedger
 from .policy import FederationConfig
 from .sharechain import SiteKeyring
+
+#: Ledger and verified-view conservation tolerance (GPU-hours):
+#: transfers are zero-sum, so any drift beyond float noise is a
+#: violation.
+LEDGER_TOLERANCE = 1e-6
+
+#: Gossip intervals within which every honest verifying site must
+#: quarantine a chain-visible forger (generous: fabrication, one
+#: chain-gossip hop and the strike are all sub-interval).
+DETECTION_ROUNDS_BOUND = 10
 
 
 @dataclass
@@ -110,6 +121,9 @@ class FederatedDeployment:
         #: Runs :meth:`inject_faults` windows; each fault kind's on/off
         #: pair is registered here, and nowhere else.
         self.faults = FaultDriver(self.env)
+        #: Every window :meth:`inject_faults` has driven, in injection
+        #: order; :meth:`audit` judges detection of the Byzantine ones.
+        self.fault_windows: List[FaultWindow] = []
         faults = self.faults
         faults.on("link", lambda w: self.wan.sever(*w.target),
                   lambda w: self.wan.heal(*w.target))
@@ -283,30 +297,6 @@ class FederatedDeployment:
                 out[name] = suspect
         return out
 
-    def quarantined_by_all(self, peer: str) -> bool:
-        """Whether every *other* verifying site currently blocks
-        ``peer`` (the chaos-suite detection criterion)."""
-        observers = [
-            handle.gateway.trust
-            for name, handle in self.sites.items()
-            if name != peer and handle.gateway.trust is not None
-        ]
-        return bool(observers) and all(
-            trust.blocks(peer) for trust in observers)
-
-    def detection_latencies(self, peer: str) -> Dict[str, float]:
-        """When each observer first quarantined ``peer`` (absent key =
-        not detected there)."""
-        out: Dict[str, float] = {}
-        for name, handle in self.sites.items():
-            trust = handle.gateway.trust
-            if name == peer or trust is None:
-                continue
-            at = trust.detected_at.get(peer)
-            if at is not None:
-                out[name] = at
-        return out
-
     # -- fault injection -------------------------------------------------
 
     def inject_faults(self, schedule: FaultSchedule) -> None:
@@ -330,6 +320,7 @@ class FederatedDeployment:
             elif window.kind in BYZANTINE_MODES:
                 self.enable_ledger_verification()
             self.faults.drive(window)
+            self.fault_windows.append(window)
 
     def _check_fault_target(self, window: FaultWindow) -> None:
         if window.kind == "link":
@@ -447,3 +438,98 @@ class FederatedDeployment:
             + handle.gateway.unacked_completion_count
             for handle in self.sites.values()
         )
+
+    # -- the standing invariants -------------------------------------------
+
+    def audit(self) -> List[str]:
+        """Every standing invariant, judged at ``env.now``: one line
+        per violation, empty when all hold.
+
+        * exactly-once — no job completed at more than one campus;
+        * no-job-lost — every job a site's coordinator announced with
+          ``job-submitted`` is still in that coordinator's book;
+        * ledger conservation — credit balances sum to zero;
+        * orphan-free traces — every recorded span's parent exists;
+        * with share-chain verification on, per verifying site:
+          quarantine purge (no blocked signer's entries survive) and
+          view conservation (the verified view sums to zero);
+        * bounded detection — every honest verifying site quarantined
+          each chain-visible Byzantine window's site within
+          :data:`DETECTION_ROUNDS_BOUND` gossip rounds of the window
+          opening (windows too recent to judge are skipped).
+
+        Read-only: it emits no event, draws no random number and
+        schedules nothing, so an audit never perturbs the run.
+        """
+        violations: List[str] = []
+        duplicates = self.duplicate_executions()
+        if duplicates:
+            violations.append(
+                f"exactly-once: {len(duplicates)} job(s) completed at more "
+                f"than one campus: {duplicates[:5]}")
+        for name, handle in sorted(self.sites.items()):
+            book = handle.coordinator.jobs
+            lost = [event.payload["job_id"] for event
+                    in handle.platform.events.of_kind("job-submitted")
+                    if event.payload["job_id"] not in book]
+            if lost:
+                violations.append(
+                    f"no-job-lost: site {name} accepted {len(lost)} job(s) "
+                    f"its coordinator no longer holds: {lost[:5]}")
+        ledger_sum = sum(self.credit_balances().values())
+        if abs(ledger_sum) > LEDGER_TOLERANCE:
+            violations.append(
+                f"ledger-conservation: balances sum to {ledger_sum:+.9f} "
+                f"GPU-hours (tolerance {LEDGER_TOLERANCE:g})")
+        if self.tracer is not None:
+            orphans = self.tracer.orphans()
+            if orphans:
+                violations.append(
+                    f"orphan-free-traces: {len(orphans)} span(s) reference "
+                    f"a parent that was never recorded")
+        verifying = {name: handle.gateway
+                     for name, handle in sorted(self.sites.items())
+                     if handle.gateway.sharechain is not None}
+        for name, gateway in verifying.items():
+            chain, trust = gateway.sharechain, gateway.trust
+            # Quarantining a signer purges its chain wholesale, so no
+            # blocked peer's entries may survive in the verified view.
+            stray = sorted({signed.signer
+                            for signed in chain.accepted_entries()
+                            if trust.blocks(signed.signer)})
+            if stray:
+                violations.append(
+                    f"quarantine-purge: site {name} still holds entries "
+                    f"signed by blocked peer(s) {stray}")
+            # The verified view folds only zero-sum transfers, so the
+            # honest subset it retains must conserve like the ledger.
+            drift = chain.view.total()
+            if abs(drift) > LEDGER_TOLERANCE:
+                violations.append(
+                    f"view-conservation: site {name}'s verified view sums "
+                    f"to {drift:+.9f} GPU-hours")
+        byzantine = [window for window in self.fault_windows
+                     if window.kind in BYZANTINE_MODES]
+        adversarial = {window.target for window in byzantine}
+        interval = self.federation_config.gossip_interval
+        bound = DETECTION_ROUNDS_BOUND * interval
+        for window in byzantine:
+            # Other lies need real traffic to surface, so no generic
+            # bound on their detection latency exists.
+            if (window.kind not in CHAIN_VISIBLE_MODES
+                    or window.start + bound > self.env.now):
+                continue
+            for name, gateway in verifying.items():
+                if name in adversarial:
+                    continue
+                detected = gateway.trust.detected_at.get(window.target)
+                if detected is None:
+                    violations.append(
+                        f"byzantine-detection: site {name} never "
+                        f"quarantined {window.target} ({window.kind})")
+                elif detected - window.start > bound:
+                    violations.append(
+                        f"byzantine-detection: site {name} took "
+                        f"{detected - window.start:.0f}s to quarantine "
+                        f"{window.target} (bound {bound:.0f}s)")
+        return violations

@@ -3,13 +3,14 @@
 A :class:`ScenarioRunner` compiles one
 :class:`~repro.scenarios.spec.ScenarioSpec` per seed, runs each to the
 scenario horizon, and folds per-seed metrics *and* the federation's
-standing invariants — exactly-once execution, GPU-hour ledger
-conservation, orphan-free traces, drained reconciliation — into one
-:class:`ScenarioReport`.  Summaries are plain JSON-able dicts built
-only from deterministic simulation state (counts, rounded aggregates —
-never object ids or wall-clock), so the same spec and seed always
-produce an identical summary, which is itself one of the runner's
-regression guarantees.
+standing invariants — exactly-once execution, no lost job, GPU-hour
+ledger conservation, orphan-free traces and the share-chain ones, as
+:meth:`~repro.federation.FederatedDeployment.audit` judges them —
+into one :class:`ScenarioReport`.  Summaries are plain JSON-able
+dicts built only from deterministic simulation state (counts, rounded
+aggregates — never object ids or wall-clock), so the same spec and
+seed always produce an identical summary, which is itself one of the
+runner's regression guarantees.
 """
 
 from __future__ import annotations
@@ -17,21 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..federation.adversary import CHAIN_VISIBLE_MODES
 from ..units import GIB
 from ..workloads.interactive import SessionOutcome
 from ..workloads.training import JobStatus
 from .compile import CompiledScenario, compile_scenario
 from .spec import ScenarioSpec
-
-#: Ledger conservation tolerance (GPU-hours); donations are zero-sum
-#: so any drift beyond float noise is a violation.
-LEDGER_TOLERANCE = 1e-6
-
-#: Gossip intervals within which a chain-visible forgery must be
-#: quarantined by every honest verifying site (generous: fabrication,
-#: one chain-gossip hop, and the strike are all sub-interval).
-DETECTION_ROUNDS_BOUND = 10
 
 
 @dataclass
@@ -46,96 +37,6 @@ class SeedResult:
     def ok(self) -> bool:
         """Whether every invariant held for this seed."""
         return not self.violations
-
-
-def _check_invariants(compiled: CompiledScenario,
-                      statuses: Dict[str, int]) -> List[str]:
-    """The federation's standing invariants, evaluated post-run."""
-    deployment = compiled.deployment
-    violations: List[str] = []
-
-    duplicates = deployment.duplicate_executions()
-    if duplicates:
-        violations.append(
-            f"exactly-once: {len(duplicates)} job(s) completed at more "
-            f"than one campus: {duplicates[:5]}")
-
-    accounted = sum(statuses.values())
-    if accounted != len(compiled.jobs):
-        violations.append(
-            f"no-job-lost: {len(compiled.jobs)} submitted but only "
-            f"{accounted} accounted for")
-
-    ledger_sum = sum(deployment.credit_balances().values())
-    if abs(ledger_sum) > LEDGER_TOLERANCE:
-        violations.append(
-            f"ledger-conservation: balances sum to {ledger_sum:+.9f} "
-            f"GPU-hours (tolerance {LEDGER_TOLERANCE:g})")
-
-    tracer = deployment.tracer
-    if tracer is not None:
-        orphans = tracer.orphans()
-        if orphans:
-            violations.append(
-                f"orphan-free-traces: {len(orphans)} span(s) reference "
-                f"a parent that was never recorded")
-    violations.extend(_check_adversary_invariants(compiled))
-    return violations
-
-
-def _check_adversary_invariants(compiled: CompiledScenario) -> List[str]:
-    """Share-chain invariants, evaluated only when verification is on."""
-    deployment = compiled.deployment
-    scenario = compiled.spec
-    violations: List[str] = []
-    adversarial = {a.site for a in scenario.adversaries}
-    verifying = {name: handle for name, handle in deployment.sites.items()
-                 if handle.gateway.sharechain is not None}
-    if not verifying:
-        return violations
-    for name, handle in sorted(verifying.items()):
-        chain = handle.gateway.sharechain
-        trust = handle.gateway.trust
-        # Quarantining a signer purges its chain wholesale, so no
-        # blocked peer's entries may survive in the verified view.
-        stray = sorted({s.signer for s in chain.accepted_entries()
-                        if trust.blocks(s.signer)})
-        if stray:
-            violations.append(
-                f"quarantine-purge: site {name} still holds entries "
-                f"signed by blocked peer(s) {stray}")
-        # The verified view folds only zero-sum transfers, so the
-        # honest subset it retains must conserve like the shared
-        # ledger does.
-        drift = chain.view.total()
-        if abs(drift) > LEDGER_TOLERANCE:
-            violations.append(
-                f"view-conservation: site {name}'s verified view sums "
-                f"to {drift:+.9f} GPU-hours")
-    interval = deployment.federation_config.gossip_interval
-    bound = DETECTION_ROUNDS_BOUND * interval
-    for adversary in scenario.adversaries:
-        # Other lies need real traffic to surface, so a generic
-        # scenario cannot bound their detection latency.
-        if adversary.mode not in CHAIN_VISIBLE_MODES:
-            continue
-        start = adversary.start_hour * 3600.0
-        if start + bound > compiled.horizon:
-            continue  # too close to the horizon to judge detection
-        for name, handle in sorted(verifying.items()):
-            if name == adversary.site or name in adversarial:
-                continue
-            detected = handle.gateway.trust.detected_at.get(adversary.site)
-            if detected is None:
-                violations.append(
-                    f"byzantine-detection: site {name} never quarantined "
-                    f"{adversary.site} ({adversary.mode})")
-            elif detected - start > bound:
-                violations.append(
-                    f"byzantine-detection: site {name} took "
-                    f"{detected - start:.0f}s to quarantine "
-                    f"{adversary.site} (bound {bound:.0f}s)")
-    return violations
 
 
 def _job_statuses(compiled: CompiledScenario) -> Dict[str, int]:
@@ -274,13 +175,13 @@ class ScenarioRunner:
 
     def run_seed(self, seed: int,
                  compiled: Optional[CompiledScenario] = None) -> SeedResult:
-        """Run one seed to the horizon and audit it."""
+        """Run one seed to the horizon and audit it with
+        :meth:`~repro.federation.FederatedDeployment.audit`."""
         if compiled is None:
             compiled = compile_scenario(self.spec, seed=seed)
         compiled.run()
-        summary = summarize(compiled)
-        violations = _check_invariants(compiled, _job_statuses(compiled))
-        return SeedResult(seed=seed, summary=summary, violations=violations)
+        return SeedResult(seed=seed, summary=summarize(compiled),
+                          violations=compiled.deployment.audit())
 
     def sweep(self) -> ScenarioReport:
         """Run every seed; collect summaries and violations."""

@@ -376,23 +376,14 @@ class SimulationServer(StatusEndpoint):
     # -- invariants --------------------------------------------------------
 
     def audit(self) -> List[str]:
-        """The federation's standing invariants, right now (locks)."""
-        from ..scenarios.runner import LEDGER_TOLERANCE
+        """The standing invariants at the live sim instant (locks):
+        ``driver: stopped by …`` if the simulation raised, then every
+        line of the deployment's
+        :meth:`~repro.federation.FederatedDeployment.audit`."""
         with self.lock:
             violations: List[str] = []
             if self._driver_error is not None:
                 violations.append(
                     f"driver: stopped by {self._driver_error!r}")
-            duplicates = self.deployment.duplicate_executions()
-            if duplicates:
-                violations.append(
-                    f"exactly-once: {len(duplicates)} duplicated job(s)")
-            ledger_sum = sum(self.deployment.credit_balances().values())
-            if abs(ledger_sum) > LEDGER_TOLERANCE:
-                violations.append(
-                    f"ledger-conservation: sum {ledger_sum:+.9f} GPU-hours")
-            tracer = self.deployment.tracer
-            if tracer is not None and tracer.orphans():
-                violations.append(
-                    f"orphan-free-traces: {len(tracer.orphans())} orphan(s)")
+            violations.extend(self.deployment.audit())
             return violations

@@ -25,7 +25,9 @@ demand-independent, so they carry a hard detection bound: every honest
 observer must convict within ``DETECTION_ROUNDS_BOUND`` gossip rounds
 of the misbehavior window opening.  The other modes need a settlement
 or a forwarding attempt to surface, so the suite asserts detection
-happened, not a round count.
+happened, not a round count.  The safety invariants, the bound on
+chain-visible detection included, are the deployment's own
+:meth:`~repro.federation.FederatedDeployment.audit`.
 """
 
 import pytest
@@ -37,6 +39,8 @@ from repro.federation import (
     FederationConfig,
     TrustState,
 )
+from repro.federation.adversary import CHAIN_VISIBLE_MODES
+from repro.federation.deployment import DETECTION_ROUNDS_BOUND
 from repro.gpu.specs import RTX_3090, RTX_4090
 from repro.units import HOUR, MINUTE
 from repro.workloads.models import RESNET50
@@ -48,10 +52,6 @@ MODES = ("forge", "replay", "free-ride",
          "under-bill", "over-bill", "over-report")
 SEEDS = (7, 19, 23)
 HORIZON = 14 * HOUR
-#: Detection deadline for chain-visible modes, in gossip rounds —
-#: mirrors the scenario runner's audit bound.
-DETECTION_ROUNDS_BOUND = 10
-CHAIN_VISIBLE = frozenset({"forge", "replay", "free-ride"})
 #: ``replay`` only exercises the settled-key check if the adversary
 #: has a *genuine accepted* entry to re-sign, so its window opens
 #: after the first honest settlement; every other mode lies from t=0.
@@ -94,7 +94,7 @@ def _run_chaos(mode, seed):
     lies need surplus demand probing the adversary's phantom headroom.
     """
     jobs = []
-    if mode in CHAIN_VISIBLE or mode == "over-bill":
+    if mode in CHAIN_VISIBLE_MODES or mode == "over-bill":
         # Saturated honest campuses; surplus forwarded to the farm.
         fed, handles = _build(mode, seed, {
             "alpha": [RTX_3090], "bravo": [RTX_3090], BYZ: [RTX_4090] * 2})
@@ -154,7 +154,7 @@ def test_honest_sites_detect_the_adversary(chaos):
         trust = fed.site(site).gateway.trust
         assert BYZ in trust.detected_at, \
             f"{site} never detected {BYZ} ({mode})"
-        if mode in CHAIN_VISIBLE:
+        if mode in CHAIN_VISIBLE_MODES:
             rounds = (trust.detected_at[BYZ] - start) / interval
             assert rounds <= DETECTION_ROUNDS_BOUND, \
                 f"{site} took {rounds:.1f} gossip rounds on {mode}"
@@ -174,7 +174,7 @@ def test_detection_was_for_cause(chaos):
             fed.site(site).gateway.sharechain.rejected.get(reason, 0) > 0
             for site in _detectors(mode)), \
             f"no {reason!r} rejection recorded for {mode}"
-    if mode in CHAIN_VISIBLE or mode == "under-bill":
+    if mode in CHAIN_VISIBLE_MODES or mode == "under-bill":
         for site in _detectors(mode):
             trust = fed.site(site).gateway.trust
             assert trust.state(BYZ) in (TrustState.QUARANTINED,
@@ -191,8 +191,8 @@ def test_no_honest_job_lost(chaos):
         assert job.status is JobStatus.COMPLETED, \
             f"{job.job_id} ended {job.status} under {mode}"
         assert counts.get(job.job_id) == 1
-    assert fed.duplicate_executions() == []
     assert fed.unresolved_count() == 0
+    assert fed.audit() == []
 
 
 def test_conservation_and_trace_hygiene(chaos):
@@ -200,14 +200,9 @@ def test_conservation_and_trace_hygiene(chaos):
     verified view; the adversary never nets more credit at a detecting
     site than it truly earned; span trees stay parented."""
     mode, fed, _jobs = chaos
-    assert abs(fed.ledger.total()) < 1e-6
-    for site in HONEST:
-        chain = fed.site(site).gateway.sharechain
-        assert abs(chain.view.total()) < 1e-6, \
-            f"{site}'s verified view leaks credit under {mode}"
+    assert fed.audit() == []
     for site in _detectors(mode):
         chain = fed.site(site).gateway.sharechain
         assert (chain.view.balance(BYZ)
                 <= fed.ledger.balance(BYZ) + 1e-6), \
             f"{site} credited {BYZ} beyond its true donations ({mode})"
-    assert fed.tracer.orphans() == []

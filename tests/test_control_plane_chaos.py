@@ -96,16 +96,14 @@ def _forced_forward(fed, north, victim_compute=30 * MINUTE):
 
 
 def _assert_invariants(fed, jobs):
-    """The chaos contract: exactly-once, nothing lost, books balanced."""
+    """The chaos contract: each job completed once, the books drained,
+    and the federation's standing invariants hold."""
     for job in jobs:
         assert job.status is JobStatus.COMPLETED, (
             f"{job.job_id} lost (status {job.status})")
         assert _completions(fed, job.job_id) == 1, job.job_id
-    assert fed.duplicate_executions() == []
     assert fed.unresolved_count() == 0
-    assert abs(fed.ledger.total()) < 1e-6
-    if fed.tracer is not None:
-        assert fed.tracer.orphans() == []
+    assert fed.audit() == []
 
 
 # -- the phase matrix: kill a gateway at every protocol phase ---------------
@@ -379,7 +377,7 @@ def test_snapshot_roundtrip_preserves_pending_cross_wan_cancel():
         is JobStatus.CANCELLED
     assert south.platform.events.count("foreign-job-cancelled") == 1
     assert fed.unresolved_count() == 0
-    assert abs(fed.ledger.total()) < 1e-6
+    assert fed.audit() == []
     assert blocker.status is JobStatus.COMPLETED
 
 
@@ -506,13 +504,13 @@ def test_chaos_exactly_once_and_nothing_lost(chaos):
         assert job.is_done, f"{job.job_id} lost (status {job.status})"
         assert job.status is JobStatus.COMPLETED
         assert completions.get(job.job_id, 0) == 1, job.job_id
-    assert fed.duplicate_executions() == []
+    assert fed.audit() == []
 
 
 def test_chaos_reconciliation_drains_and_ledger_conserves(chaos):
     fed, jobs, _, _ = chaos
     assert fed.unresolved_count() == 0
-    assert abs(fed.ledger.total()) < 1e-6
+    assert fed.audit() == []
     for handle in fed.sites.values():
         assert handle.gateway.unresolved_delegations == 0
         assert handle.gateway.unacked_completion_count == 0
@@ -528,7 +526,7 @@ def test_chaos_traces_stay_orphan_free(chaos):
     restart, and takeover swaps the HA epoch root before resync."""
     fed, jobs, _, _ = chaos
     tracer = fed.tracer
-    assert tracer.orphans() == []
+    assert fed.audit() == []
     for trace_id in tracer.trace_ids():
         assert tracer.orphans(trace_id) == []
 

@@ -85,6 +85,7 @@ def test_federation_day_digest():
     compiled = compile_scenario(ScenarioSpec.from_dict(data), seed=1)
     compiled.deployment.run(until=52 * HOUR)
     assert event_log_digest(compiled.deployment) == FEDERATION_DAY
+    assert compiled.deployment.audit() == []
 
 
 def test_chaos_scenario_with_forger_digest():
@@ -95,6 +96,7 @@ def test_chaos_scenario_with_forger_digest():
     compiled = compile_scenario(ScenarioSpec.from_dict(data), seed=3)
     compiled.run()
     assert event_log_digest(compiled.deployment) == CHAOS_WITH_FORGER
+    assert compiled.deployment.audit() == []
 
 
 def test_control_plane_chaos_digest():

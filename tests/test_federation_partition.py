@@ -123,8 +123,8 @@ def test_sever_between_commit_and_ack_never_duplicates():
     assert _completions(fed, victim.job_id) == 1
     assert north.gateway.forwarded_out == 1
     assert blocker.is_done
-    assert fed.duplicate_executions() == []
     assert fed.unresolved_count() == 0
+    assert fed.audit() == []
 
 
 # -- heal-time reconciliation of a missed completion notice ----------------
@@ -191,7 +191,7 @@ def test_cancel_of_delegated_job_waits_out_partition():
     assert record.state is DelegationState.CANCELLED
     # The GPU-hours south burned before the cancel landed are billed.
     assert fed.ledger.donated("south") > 0
-    assert fed.ledger.total() == pytest.approx(0.0)
+    assert fed.audit() == []
     assert _completions(fed, job.job_id) == 0
     assert fed.unresolved_count() == 0
 
@@ -214,7 +214,7 @@ def test_offer_during_partition_reads_as_decline_and_retries():
     # After the heal (and backoff) the job ran somewhere, exactly once.
     assert job.status is JobStatus.COMPLETED
     assert _completions(fed, job.job_id) == 1
-    assert fed.duplicate_executions() == []
+    assert fed.audit() == []
 
 
 # -- the acceptance scenario: flapping link, exactly-once ------------------
@@ -236,10 +236,9 @@ def test_flapping_wan_link_completes_every_job_exactly_once():
         assert job.is_done, job.job_id
         assert job.status is JobStatus.COMPLETED
         assert _completions(fed, job.job_id) == 1
-    assert fed.duplicate_executions() == []
-    # All reconciliation work drained.
+    # All reconciliation work drained; the standing invariants hold.
     assert fed.unresolved_count() == 0
-    assert fed.ledger.total() == pytest.approx(0.0)
+    assert fed.audit() == []
     # The flapping actually happened.
     assert north.platform.events.count("wan-link-severed") == len(
         schedule.windows)

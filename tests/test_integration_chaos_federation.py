@@ -124,7 +124,7 @@ def test_exactly_once_no_job_lost(chaos_federation):
         assert job.is_done, f"{job.job_id} lost (status {job.status})"
         assert job.status is JobStatus.COMPLETED
         assert completions.get(job.job_id, 0) == 1, job.job_id
-    assert fed.duplicate_executions() == []
+    assert fed.audit() == []
 
 
 def test_reconciliation_drains_and_ledger_conserves(chaos_federation):
@@ -132,7 +132,7 @@ def test_reconciliation_drains_and_ledger_conserves(chaos_federation):
     # No unknown delegations, pending cancels, or unacked completion
     # notices may survive the quiet tail.
     assert fed.unresolved_count() == 0
-    assert abs(fed.ledger.total()) < 1e-6
+    assert fed.audit() == []
     # Origin-side records all closed.
     for handle in fed.sites.values():
         assert handle.gateway.unresolved_delegations == 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.observability.trace import TraceContext
 from repro.scenarios import (
     CrashSpec,
     ScenarioRunner,
@@ -12,6 +13,8 @@ from repro.scenarios import (
     example_scenario,
     summarize,
 )
+from repro.server import SimulationServer
+from repro.workloads.training import JobStatus
 
 
 def chaos_scenario():
@@ -108,3 +111,72 @@ def test_summarize_counts_every_planned_job():
     assert summary["jobs"]["planned"] == len(compiled.jobs)
     assert sum(summary["jobs"]["by_status"].values()) == len(compiled.jobs)
     assert summary["seed"] == 4
+
+
+# -- the audit: every invariant can fire -------------------------------------
+
+def forger_scenario():
+    """The demo scenario with ``south`` forging chain entries from 0.5 h."""
+    base = example_scenario().to_dict()
+    base["name"] = "audit-forger"
+    base["adversaries"] = [{"site": "south", "mode": "forge",
+                            "start_hour": 0.5}]
+    return ScenarioSpec.from_dict(base)
+
+
+def _complete_again_elsewhere(fed):
+    north = fed.site("north").coordinator
+    job_id = next(job_id for job_id, job in north.jobs.items()
+                  if job.status is JobStatus.COMPLETED)
+    fed.site("south").platform.events.emit("job-completed", job_id=job_id)
+
+
+def _drop_from_origin_book(fed):
+    jobs = fed.site("north").coordinator.jobs
+    del jobs[next(job_id for job_id in jobs if job_id.startswith("sc-north"))]
+
+
+def _credit_without_debit(ledger):
+    ledger.record_donation("north", "south", 0.5, "ghost", 0.0)
+    ledger._balances["south"] += 0.5  # the debit never landed
+
+
+def _span_with_unrecorded_parent(fed):
+    fed.tracer.start("ghost", parent=TraceContext("ghost", span_id=-1))
+
+
+def _keep_blocked_signers_entry(fed):
+    forged = fed.site("south").gateway.sharechain.chain("south")[0]
+    fed.site("north").gateway.sharechain._accept(forged)
+
+
+def _forget_detection(fed):
+    del fed.site("north").gateway.trust.detected_at["south"]
+
+
+BREAKS = {
+    "exactly-once": _complete_again_elsewhere,
+    "no-job-lost": _drop_from_origin_book,
+    "ledger-conservation": lambda fed: _credit_without_debit(fed.ledger),
+    "orphan-free-traces": _span_with_unrecorded_parent,
+    "quarantine-purge": _keep_blocked_signers_entry,
+    "view-conservation": lambda fed: _credit_without_debit(
+        fed.site("north").gateway.sharechain.view),
+    "byzantine-detection": _forget_detection,
+}
+
+
+@pytest.mark.parametrize("invariant", list(BREAKS))
+def test_audit_reports_each_broken_invariant(invariant):
+    """Break one invariant by hand after a clean run: the runner's
+    audit names that invariant and only it, and the live service's
+    audit of the same deployment says the same."""
+    spec = forger_scenario()
+    server = SimulationServer(spec, seed=1)
+    compiled = server.compiled.run()
+    BREAKS[invariant](compiled.deployment)
+    violations = ScenarioRunner(spec, seeds=(1,)).run_seed(
+        1, compiled).violations
+    assert [line.split(":")[0] for line in violations] == [invariant], \
+        violations
+    assert server.audit() == violations
