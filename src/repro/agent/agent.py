@@ -13,6 +13,7 @@ executor processes for every workload placed here.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Generator, Optional
 
 from ..checkpoint import CheckpointEngine, CheckpointPolicy, FixedIntervalPolicy
@@ -73,7 +74,7 @@ class ProviderAgent:
         self.auth_token: str = ""
         self._executions: Dict[str, object] = {}  # job/session id → executor
         self._heartbeat_running = False
-        self._register_retrying = False
+        self._register_retry = env.timer(self._retry_register)
         #: Accounting-only hint read by the coordinator after detection
         #: (the wire carries nothing during a silent departure).
         self.last_departure_kind: str = "emergency"
@@ -137,15 +138,11 @@ class ProviderAgent:
         return call
 
     def _schedule_register_retry(self) -> None:
-        if self._register_retrying:
-            return
-        self._register_retrying = True
-        self.env.process(self._register_retry(),
-                         name=f"register-retry:{self.hostname}")
+        if math.isinf(self._register_retry.when):
+            self._register_retry.arm(
+                self.env.now + self.config.heartbeat_interval)
 
-    def _register_retry(self) -> Generator:
-        yield self.env.timeout(self.config.heartbeat_interval)
-        self._register_retrying = False
+    def _retry_register(self) -> None:
         if self.kill_switch.is_departed:
             return  # departed meanwhile; reconnect() re-registers
         if not self.lan.is_connected(self.hostname):

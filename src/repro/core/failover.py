@@ -90,7 +90,9 @@ class CoordinatorHA:
         self.replicas: Dict[str, bool] = {name: True for name in self.REPLICAS}
         self.leader: str = self.REPLICAS[0]
         self.takeovers = 0
-        self._generation = 0
+        #: The backup's pending detection of a dead leader; every
+        #: crash and restart cancels it.
+        self._detection = env.timer(self._maybe_take_over)
         self._epoch_trace: Optional["TraceContext"] = None
         if self.tracer is not None:
             self._epoch_trace = self.tracer.start(
@@ -133,16 +135,12 @@ class CoordinatorHA:
         if not self.replicas.get(target, False):
             return None
         self.replicas[target] = False
-        self._generation += 1
+        self._detection.cancel()
         if target != self.leader:
             return target
         self.coordinator.crash()
-        backup = self._live_backup()
-        if backup is not None:
-            generation = self._generation
-            wake = self.env.timeout(self.config.detection_delay)
-            wake.callbacks.append(
-                lambda _ev: self._maybe_take_over(backup, generation))
+        if self._live_backup() is not None:
+            self._detection.arm(self.env.now + self.config.detection_delay)
         return target
 
     def restart(self, replica: Optional[str] = None) -> Optional[str]:
@@ -163,21 +161,18 @@ class CoordinatorHA:
         if self.replicas.get(replica, False):
             return None
         self.replicas[replica] = True
-        self._generation += 1
+        self._detection.cancel()
         if self.coordinator.is_crashed:
             self._take_over(replica)
         return replica
 
     # -- takeover ------------------------------------------------------------
 
-    def _maybe_take_over(self, backup: str, generation: int) -> None:
-        if generation != self._generation:
-            return  # superseded by a restart or another crash
-        if not self.coordinator.is_crashed:
-            return  # a restarted replica already leads
-        if not self.replicas.get(backup, False):
-            return  # the backup died while waiting to detect
-        self._take_over(backup)
+    def _maybe_take_over(self) -> None:
+        # Replicas are as the crash left them: a crash or restart since
+        # would have cancelled this detection.
+        if self.coordinator.is_crashed:  # else restarted directly
+            self._take_over(self._live_backup())
 
     def _take_over(self, new_leader: str) -> None:
         self.takeovers += 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, Optional
 
 from ..config import PlatformConfig
-from ..sim import Environment
+from ..sim import Environment, Timer
 from .registry import NodeRecord, NodeRegistry, NodeStatus
 
 FailureCallback = Callable[[NodeRecord], None]
@@ -43,7 +43,8 @@ class HeartbeatMonitor:
         self.registry = registry
         self.config = config
         self.on_failure = on_failure
-        self._generations: Dict[str, int] = {}
+        #: node_id → its virtual-mode detection alarm.
+        self._detectors: Dict[str, Timer] = {}
         self._checker_running = False
         self._suspended = False
         #: node_id → instant its detection fired while suspended.
@@ -58,12 +59,13 @@ class HeartbeatMonitor:
     def receive(self, node_id: str) -> None:
         """A heartbeat arrived from ``node_id``."""
         self.registry.touch_heartbeat(node_id)
-        # Any pending virtual detection is superseded.
-        self._generations[node_id] = self._generations.get(node_id, 0) + 1
+        self.node_returned(node_id)  # any pending detection is superseded
 
     def node_returned(self, node_id: str) -> None:
         """Cancel pending detection: the node is talking to us again."""
-        self._generations[node_id] = self._generations.get(node_id, 0) + 1
+        detector = self._detectors.get(node_id)
+        if detector is not None:
+            detector.cancel()
 
     def _declare_failed(self, node_id: str,
                         at: Optional[float] = None) -> None:
@@ -138,18 +140,11 @@ class HeartbeatMonitor:
         only learns about it when the detection fires — exactly when
         the third heartbeat would have been missed.
         """
-        self._generations[node_id] = self._generations.get(node_id, 0) + 1
-        generation = self._generations[node_id]
-        delay = self.config.failure_detection_delay
-        wake = self.env.timeout(delay)
-        wake.callbacks.append(
-            lambda _ev: self._maybe_detect(node_id, generation)
-        )
-
-    def _maybe_detect(self, node_id: str, generation: int) -> None:
-        if self._generations.get(node_id) != generation:
-            return  # heartbeats resumed or a newer silence superseded us
-        self._declare_failed(node_id)
+        detector = self._detectors.get(node_id)
+        if detector is None:
+            detector = self._detectors[node_id] = self.env.timer(
+                lambda: self._declare_failed(node_id))
+        detector.arm(self.env.now + self.config.failure_detection_delay)
 
     # -- rpc mode ------------------------------------------------------------------
 

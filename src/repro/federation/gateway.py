@@ -204,8 +204,8 @@ class FederationGateway:
         #: a recycled token could collide with a pre-crash handshake.
         self._token_seq = 1
         self._reconcile_wake: Optional[Event] = None
+        self._reconcile_timer = self.env.timer(self._reconcile_due)
         self._reconcile_kicked = False
-        self._pass_running = False
 
         #: Durable-state vault (attached by the deployment when
         #: control-plane failover is enabled; ``None`` keeps every
@@ -1089,12 +1089,11 @@ class FederationGateway:
         # Persist the token ordinal: leases are volatile, but a token
         # recycled after a crash could alias a pre-crash handshake.
         self._checkpoint()
-        self.env.process(self._lease_expiry(token),
-                         name=f"lease:{self.site}:{job_id}")
+        self.env.call_later(self.config.offer_lease_timeout,
+                            self._lease_expiry, token)
         return {"accepted": True, "claim_token": token}
 
-    def _lease_expiry(self, token: str) -> Generator:
-        yield self.env.timeout(self.config.offer_lease_timeout)
+    def _lease_expiry(self, token: str) -> None:
         offer = self._offers.pop(token, None)
         if offer is not None:
             self.platform.events.emit("forward-lease-expired",
@@ -1465,17 +1464,19 @@ class FederationGateway:
     def _kick_reconcile(self) -> None:
         """Run a reconciliation pass as soon as possible.
 
-        A kick while a pass is already running (whose wake event is
-        abandoned) must set the flag, not succeed the stale event —
-        otherwise the heal-time kick is silently lost until the next
-        timer tick.
+        A kick while a pass is already running (its wake has fired)
+        must set the flag, or the heal-time kick would be lost until
+        the next timer tick.
         """
         wake = self._reconcile_wake
-        if (not self._pass_running and wake is not None
-                and not wake.triggered):
+        if wake is not None and not wake.triggered:
             wake.succeed()
         else:
             self._reconcile_kicked = True  # picked up next loop turn
+
+    def _reconcile_due(self) -> None:
+        if not self._reconcile_wake.triggered:  # else kicked this instant
+            self._reconcile_wake.succeed()
 
     def _has_reconcile_work(self) -> bool:
         return any(_unknown(record) or _cancelling(record)
@@ -1484,26 +1485,23 @@ class FederationGateway:
 
     def _reconcile_loop(self) -> Generator:
         while True:
-            self._reconcile_wake = self.env.event()
+            wake = self._reconcile_wake = self.env.event()
             if self._reconcile_kicked:
                 self._reconcile_kicked = False
-                self._reconcile_wake.succeed()
+                wake.succeed()
+            self._reconcile_timer.arm(
+                self.env.now + self.config.reconcile_interval)
             try:
-                yield self.env.any_of([
-                    self.env.timeout(self.config.reconcile_interval),
-                    self._reconcile_wake,
-                ])
+                yield wake
             except Interrupt:
                 return  # gateway crashed
+            self._reconcile_timer.cancel()
             if self._has_reconcile_work():
-                self._pass_running = True
                 try:
                     yield from self._reconcile_pass()
                 except Interrupt:
                     return  # gateway crashed mid-pass; every step is
                     # idempotent, the restarted loop re-runs the rest
-                finally:
-                    self._pass_running = False
 
     def _reconcile_pass(self) -> Generator:
         """One idempotent sweep over everything a partition left open.
@@ -1661,8 +1659,8 @@ class FederationGateway:
         self.records = {}
         self._offers.clear()
         self._reconcile_wake = None
+        self._reconcile_timer.cancel()
         self._reconcile_kicked = False
-        self._pass_running = False
         self._pushed_digest.clear()
         self._pushed_at.clear()
         self._pushed_balance.clear()

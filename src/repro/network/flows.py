@@ -53,9 +53,9 @@ The engine runs in one of two settle disciplines:
   heap of completion ETAs drives the wakes; its stale entries are
   dropped in bulk once they outnumber twice the live flows.
 
-Wake-ups use a token guard instead of cancellable timers, scheduled
-through the kernel's lightweight :meth:`~repro.sim.Environment.call_at`
-fast path (no Event/Timeout allocation per reallocation).
+Wake-ups re-arm one kernel :class:`~repro.sim.Timer` (no Event per
+reallocation): lazily only when the ETA moves, synchronously at every
+event, as the reference engine's fresh ``timeout`` per event orders.
 
 With a :class:`~repro.network.qos.QoSPolicy` attached (``qos=``), the
 engine becomes class-aware: control flows fill first over the full
@@ -452,8 +452,7 @@ class FlowNetwork:
         #: Lazy-mode completion heap of (eta, flow_id, flow); entries
         #: are stale once the flow departed or changed rate.
         self._eta_heap: List[Tuple[float, int, Flow]] = []
-        self._wake_token = 0
-        self._armed_at = math.inf
+        self._wake = env.timer(self._on_wake)
         #: Perf counters surfaced by the benchmark harness.
         self.reallocations = 0
         self.flows_started = 0
@@ -494,7 +493,7 @@ class FlowNetwork:
                 self._settle_flow(flow, now)
             self._last_update = now
             self._eta_heap.clear()
-            self._armed_at = math.inf
+            self._wake.cancel()
             if self._flows:
                 self._arm_sync_wake()
         self._observers.append(callback)
@@ -947,7 +946,6 @@ class FlowNetwork:
         current settle point, so the wake time is derived from exactly
         the same floats the settle chopping produced.
         """
-        self._wake_token += 1
         horizon = math.inf
         for flow in self._flows.values():
             if flow.rate > 0:
@@ -955,9 +953,9 @@ class FlowNetwork:
                 if candidate < horizon:
                     horizon = candidate
         if math.isinf(horizon):
-            return
-        self.env.call_at(self.env.now + max(horizon, 0.0),
-                         self._on_wake, self._wake_token)
+            self._wake.cancel()
+        else:
+            self._wake.arm(self.env.now + max(horizon, 0.0))
 
     def _arm_lazy_wake(self) -> None:
         """Arm the wake at the earliest valid ETA (reusing a pending
@@ -969,21 +967,13 @@ class FlowNetwork:
                 break
             heapq.heappop(heap)
         if not heap:
-            if not math.isinf(self._armed_at):
-                self._wake_token += 1
-                self._armed_at = math.inf
+            self._wake.cancel()
             return
         eta = heap[0][0]
-        if eta == self._armed_at:
-            return  # a live wake is already scheduled for this instant
-        self._wake_token += 1
-        self._armed_at = eta
-        self.env.call_at(eta, self._on_wake, self._wake_token)
+        if eta != self._wake.when:  # else a live wake is due then already
+            self._wake.arm(eta)
 
-    def _on_wake(self, token: int) -> None:
-        if token != self._wake_token:
-            return  # superseded by a newer reallocation
-        self._armed_at = math.inf
+    def _on_wake(self) -> None:
         if self._observers:
             self._settle_all()
             finished = [f for f in self._flows.values() if f.remaining < 1.0]

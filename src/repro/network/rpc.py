@@ -22,7 +22,7 @@ outcome* and reconcile before retrying.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from ..errors import NetworkError, RpcTimeoutError
 from ..sim import Environment, Event
@@ -118,19 +118,13 @@ class RpcLayer:
             name=f"rpc:{method}@{dst}",
         )
         if timeout is not None:
-            self.env.process(
-                self._deadline(result, timeout, method, dst),
-                name=f"rpc-deadline:{method}@{dst}",
-            )
+            self.env.call_later(timeout, self._deadline,
+                                (result, timeout, method, dst))
         return result
 
-    def _deadline(self, result: Event, timeout: float, method: str,
-                  dst: str) -> Generator:
-        # The kernel has no cancellable timers, so this timeout stays
-        # queued (as a no-op) even when the call settles early — the
-        # same accepted idiom as the flow engine's generation-counter
-        # wake-ups.
-        yield self.env.timeout(timeout)
+    @staticmethod
+    def _deadline(call: Tuple[Event, float, str, str]) -> None:
+        result, timeout, method, dst = call
         if not result.triggered:
             result.fail(RpcTimeoutError(
                 f"{method}@{dst} timed out after {timeout:g}s "

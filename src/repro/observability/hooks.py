@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..monitoring.metrics import MetricRegistry
+from ..sim import Timer
 
 
 class KernelHooks:
@@ -86,8 +87,9 @@ class KernelProfile(KernelHooks):
         self.reallocated_flows = 0
         self.reallocated_links = 0
         self.max_component_flows = 0
-        #: Dispatches and wall-clock bucketed by queue-item type name
-        #: (``Timeout``, ``Process``, ``_ScheduledCallback``, ...).
+        #: Dispatches and wall-clock by kind: a scheduled callback's
+        #: (or its Timer's) function ``__qualname__``, else the queue
+        #: item's type name (``Timeout``, ``Process``, ...).
         self._kind_counts: Dict[str, int] = {}
         self._kind_wall: Dict[str, float] = {}
 
@@ -100,7 +102,13 @@ class KernelProfile(KernelHooks):
                     qsize: int) -> None:
         self.events_dispatched += 1
         self.dispatch_wall_seconds += wall_seconds
-        kind = type(item).__name__
+        fn = getattr(item, "fn", None)  # set on scheduled callbacks
+        if fn is None:
+            kind = type(item).__name__
+        else:
+            if isinstance(getattr(fn, "__self__", None), Timer):
+                fn = fn.__self__.fn
+            kind = getattr(fn, "__qualname__", type(fn).__name__)
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
         self._kind_wall[kind] = self._kind_wall.get(kind, 0.0) + wall_seconds
 
@@ -116,7 +124,7 @@ class KernelProfile(KernelHooks):
     # -- read-out ---------------------------------------------------------
 
     def dispatches_by_kind(self) -> List[Tuple[str, int, float]]:
-        """``(type name, count, wall seconds)`` rows, busiest first."""
+        """``(kind, count, wall seconds)`` rows, busiest first."""
         return sorted(
             ((kind, count, round(self._kind_wall[kind], 6))
              for kind, count in self._kind_counts.items()),

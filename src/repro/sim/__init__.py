@@ -9,6 +9,7 @@ from .core import (
     Process,
     SimulationError,
     Timeout,
+    Timer,
 )
 from .resources import PriorityStore, Resource, Store
 from .rng import RngStreams, derive_seed
@@ -22,6 +23,7 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
+    "Timer",
     "PriorityStore",
     "Resource",
     "Store",

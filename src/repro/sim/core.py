@@ -168,10 +168,8 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        # Bootstrap: resume the generator at time env.now.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        # Bootstrap: start the generator at time env.now.
+        env.call_at(env.now, self._step_send, None)
 
     @property
     def is_alive(self) -> bool:
@@ -192,9 +190,7 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        wakeup = Event(self.env)
-        wakeup.callbacks.append(lambda ev: self._step_throw(Interrupt(cause)))
-        wakeup.succeed()
+        self.env.call_at(self.env.now, self._step_throw, Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
         self._target = None
@@ -334,14 +330,7 @@ class AnyOf(Condition):
 
 
 class _ScheduledCallback:
-    """A bare callback on the event queue (no :class:`Event` machinery).
-
-    The fast path behind :meth:`Environment.call_at`: engines that
-    re-arm a wake timer on every reallocation (the flow engine) would
-    otherwise allocate a :class:`Timeout`, a callbacks list, and a
-    closure per event, none of which anything ever waits on.  This is
-    not an :class:`Event` — it cannot be yielded on.
-    """
+    """A bare ``fn(arg)`` queue entry (see :meth:`Environment.call_at`)."""
 
     __slots__ = ("fn", "arg")
 
@@ -351,6 +340,41 @@ class _ScheduledCallback:
 
     def _fire(self) -> None:
         self.fn(self.arg)
+
+
+class Timer:
+    """A re-armable, cancellable alarm calling ``fn()`` at :attr:`when`.
+
+    Each :meth:`arm` pushes one :meth:`~Environment.call_at` entry, even
+    at an unchanged time (the timer then fires behind everything queued
+    for that instant since).  A superseded or cancelled entry stays
+    queued and is skipped when it fires.  :attr:`when` is ``inf`` while
+    disarmed, and from the moment it fires, so ``fn`` may re-arm it.
+    """
+
+    __slots__ = ("env", "fn", "when", "_seq")
+
+    def __init__(self, env: "Environment", fn: Callable[[], None]):
+        self.env = env
+        self.fn = fn
+        self.when = float("inf")
+        self._seq = 0
+
+    def arm(self, when: float) -> None:
+        """Fire at absolute time ``when``, superseding any earlier arm."""
+        self._seq += 1
+        self.when = when
+        self.env.call_at(when, self._fire, self._seq)
+
+    def cancel(self) -> None:
+        """Disarm: a pending fire is skipped."""
+        self._seq += 1
+        self.when = float("inf")
+
+    def _fire(self, seq: int) -> None:
+        if seq == self._seq:  # else superseded by a re-arm or a cancel
+            self.when = float("inf")
+            self.fn()
 
 
 class Environment:
@@ -375,16 +399,8 @@ class Environment:
         # Queue entries are (time, tie-break counter, Event-or-callback).
         self._queue: List[Tuple[float, int, Any]] = []
         self._counter = 0
+        #: The attached kernel hooks object (``None`` when disabled).
         self.hooks = hooks
-
-    @property
-    def hooks(self) -> Any:
-        """The attached kernel hooks object (``None`` when disabled)."""
-        return self._hooks
-
-    @hooks.setter
-    def hooks(self, hooks: Any) -> None:
-        self._hooks = hooks
 
     @property
     def now(self) -> float:
@@ -413,9 +429,8 @@ class Environment:
                 arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at absolute time ``when`` (cheaply).
 
-        Unlike :meth:`timeout`, nothing can wait on the result — this
-        is the fire-and-forget fast path for internal timers that are
-        re-armed constantly (the flow engine's completion wakes).  The
+        Unlike :meth:`timeout`, nothing can wait on the result: this is
+        the fire-and-forget fast path under :class:`Timer`.  The
         absolute timestamp is used verbatim, so a caller that computed
         ``when`` once fires at exactly that float, with no
         ``now + (when - now)`` rounding wobble.
@@ -425,8 +440,8 @@ class Environment:
         heapq.heappush(self._queue,
                        (when, self._counter, _ScheduledCallback(fn, arg)))
         self._counter += 1
-        if self._hooks is not None:
-            self._hooks.on_schedule(when, self._now, len(self._queue))
+        if self.hooks is not None:
+            self.hooks.on_schedule(when, self._now, len(self._queue))
 
     def call_later(self, delay: float, fn: Callable[[Any], None],
                    arg: Any = None) -> None:
@@ -434,6 +449,10 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative call_later delay: {delay!r}")
         self.call_at(self._now + delay, fn, arg)
+
+    def timer(self, fn: Callable[[], None]) -> Timer:
+        """A disarmed :class:`Timer` that calls ``fn()`` when it fires."""
+        return Timer(self, fn)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event that fires when all ``events`` have fired."""
@@ -448,8 +467,8 @@ class Environment:
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
         heapq.heappush(self._queue, (self._now + delay, self._counter, event))
         self._counter += 1
-        if self._hooks is not None:
-            self._hooks.on_schedule(self._now + delay, self._now,
+        if self.hooks is not None:
+            self.hooks.on_schedule(self._now + delay, self._now,
                                     len(self._queue))
 
     def peek(self) -> float:
@@ -464,7 +483,7 @@ class Environment:
             raise SimulationError("step() on empty event queue")
         when, _, event = heapq.heappop(self._queue)
         self._now = when
-        hooks = self._hooks
+        hooks = self.hooks
         if hooks is None:
             event._fire()
             return

@@ -17,6 +17,7 @@ deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
@@ -164,7 +165,7 @@ class PriorityStore(Store):
     def __init__(self, env: Environment):
         super().__init__(env)
         self._heap: List[Any] = []
-        self._delivery_pending = False
+        self._delivery = env.timer(self._deliver)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -178,15 +179,11 @@ class PriorityStore(Store):
         self._schedule_delivery()
 
     def _schedule_delivery(self) -> None:
-        if self._delivery_pending or not self._getters or not self._heap:
-            return
-        self._delivery_pending = True
-        wake = Event(self.env)
-        wake.callbacks.append(self._deliver)
-        wake.succeed()
+        # One deferred delivery per instant serves every getter.
+        if self._getters and self._heap and math.isinf(self._delivery.when):
+            self._delivery.arm(self.env.now)
 
-    def _deliver(self, _event: Event) -> None:
-        self._delivery_pending = False
+    def _deliver(self) -> None:
         while self._getters and self._heap:
             getter = self._getters.popleft()
             getter.succeed(heapq.heappop(self._heap))

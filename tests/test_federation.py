@@ -314,6 +314,72 @@ def test_cancel_while_forward_offer_in_flight():
     assert len(fed.ledger.entries) == 0
 
 
+def _offer_to_south(fed, south):
+    """North offers south one job over the WAN; returns (spec, reply)."""
+    from repro.federation import ForwardOffer
+
+    spec = TrainingJobSpec(job_id=next_job_id(), model=RESNET50,
+                           total_compute=1 * HOUR)
+    call = fed.wan_rpc.call("north", "south", "forward-offer", ForwardOffer(
+        spec=spec, origin_site="north", payload_bytes=spec.dataset_bytes,
+        relay_path=("north",)))
+    fed.run(until=fed.env.now + 5)
+    return spec, call.value
+
+
+def _commit_to_south(fed, spec, token):
+    from repro.federation import ForwardEnvelope
+
+    call = fed.wan_rpc.call("north", "south", "forward-commit",
+                            ForwardEnvelope(spec=spec, origin_site="north",
+                                            payload_bytes=1 * GIB,
+                                            claim_token=token,
+                                            relay_path=("north",)))
+    fed.run(until=fed.env.now + 60)
+    return call.value
+
+
+def test_unclaimed_offer_lease_expires_once_and_frees_the_card():
+    fed, north, south = _two_campuses([RTX_3090], [RTX_4090])
+    fed.run(until=100)
+    spec, reply = _offer_to_south(fed, south)
+    assert reply["accepted"] is True
+    granted_at = fed.env.now - 5
+    # The lease reserves south's only card: no second booking.
+    assert not south.gateway.accepts(spec)
+    assert south.gateway.local_digest().free_gpus == 0
+
+    lease = south.gateway.config.offer_lease_timeout
+    fed.run(until=granted_at + lease - 1)
+    assert south.platform.events.count("forward-lease-expired") == 0
+    assert not south.gateway.accepts(spec)
+    fed.run(until=granted_at + lease + 1)
+    expired = south.platform.events.of_kind("forward-lease-expired")
+    assert [(e.payload["job_id"], e.payload["origin"]) for e in expired] == [
+        (spec.job_id, "north")]
+    assert south.gateway.accepts(spec)
+    assert south.gateway.local_digest().free_gpus == 1
+
+    # A commit arriving after the lease lapsed is refused cleanly ...
+    assert _commit_to_south(fed, spec, reply["claim_token"]) == {
+        "committed": False, "reason": "lease-expired"}
+    # ... and nothing expires twice.
+    fed.run(until=fed.env.now + 2 * lease)
+    assert south.platform.events.count("forward-lease-expired") == 1
+    assert spec.job_id not in south.coordinator.jobs
+
+
+def test_offer_committed_before_the_lease_lapses_never_expires():
+    fed, north, south = _two_campuses([RTX_3090], [RTX_4090])
+    fed.run(until=100)
+    spec, reply = _offer_to_south(fed, south)
+    assert _commit_to_south(fed, spec, reply["claim_token"]) == {
+        "committed": True}
+    fed.run(until=fed.env.now + 2 * south.gateway.config.offer_lease_timeout)
+    assert south.platform.events.count("forward-lease-expired") == 0
+    assert spec.job_id in south.coordinator.jobs
+
+
 def test_cross_wan_cancel_terminates_delegated_job_at_host():
     fed, north, south = _two_campuses([RTX_3090], [RTX_4090] * 2)
     fed.run(until=100)

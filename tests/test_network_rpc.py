@@ -208,3 +208,23 @@ def test_call_within_timeout_is_unaffected(stack):
     env.process(caller(env))
     env.run()
     assert results == [42]
+
+
+def test_call_timeout_costs_one_queue_entry():
+    """A deadline is one scheduled callback, not a process of its own."""
+    from repro.observability import KernelProfile
+
+    def scheduled(timeout):
+        profile = KernelProfile()
+        env = Environment(hooks=profile)
+        lan = CampusLAN(default_latency=0.001)
+        for host in ("coordinator", "agent1"):
+            lan.attach(host, access_capacity=gbps(1))
+        rpc = RpcLayer(env, FlowNetwork(env, lan))
+        rpc.bind("agent1").register("ping", lambda n: n + 1)
+        call = rpc.call("coordinator", "agent1", "ping", 41, timeout=timeout)
+        env.run()
+        assert call.value == 42
+        return profile.events_scheduled
+
+    assert scheduled(60.0) == scheduled(None) + 1

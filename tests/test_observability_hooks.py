@@ -125,6 +125,11 @@ def test_kernel_profile_counters():
     kinds = profile.dispatches_by_kind()
     assert kinds and all(count > 0 for _k, count, _w in kinds)
     assert sum(count for _k, count, _w in kinds) == profile.events_dispatched
+    # Scheduled callbacks and timer entries are keyed by their owner,
+    # not lumped under the anonymous callback type.
+    names = {kind for kind, _c, _w in kinds}
+    assert "FlowNetwork._on_wake" in names
+    assert "_ScheduledCallback" not in names
 
 
 def test_kernel_profile_registry_families():

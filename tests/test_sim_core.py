@@ -9,6 +9,7 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
+    Timer,
 )
 
 
@@ -421,3 +422,104 @@ def test_call_later_orders_with_events_by_schedule_time():
     # time the bootstrap runs first); insertion order breaks the tie.
     assert set(log) == {"process", "callback"}
     assert env.now == 1.0
+
+
+# -- Timer --------------------------------------------------------------
+
+
+def test_timer_fires_once_at_when():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda: fired.append(env.now))
+    assert isinstance(timer, Timer)
+    assert timer.when == float("inf")
+    timer.arm(4.0)
+    assert timer.when == 4.0
+    env.run()
+    assert fired == [4.0]
+    assert timer.when == float("inf")
+
+
+def test_timer_rearm_supersedes_and_cancel_suppresses():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda: fired.append(env.now))
+    timer.arm(2.0)
+    timer.arm(7.0)  # supersedes the 2.0 arm
+    env.run()
+    assert fired == [7.0]
+
+    timer.arm(9.0)
+    timer.cancel()
+    assert timer.when == float("inf")
+    env.run()
+    assert fired == [7.0]
+    assert env.now == 9.0  # the stale entry still drained, as a no-op
+
+
+def test_timer_rearm_earlier_fires_only_the_newer_arm():
+    env = Environment()
+    fired = []
+    timer = env.timer(lambda: fired.append(env.now))
+    timer.arm(8.0)
+    timer.arm(3.0)
+    env.run()
+    assert fired == [3.0]
+
+
+def test_timer_fn_may_rearm_its_own_timer():
+    env = Environment()
+    fired = []
+
+    def tick():
+        fired.append(env.now)
+        assert timer.when == float("inf")  # disarmed before fn runs
+        if len(fired) < 3:
+            timer.arm(env.now + 1.5)
+
+    timer = env.timer(tick)
+    timer.arm(1.0)
+    env.run()
+    assert fired == [1.0, 2.5, 4.0]
+    assert timer.when == float("inf")
+
+
+def test_timer_rearm_at_same_instant_moves_behind_later_entries():
+    """Re-arming at an unchanged time still pushes a fresh entry, so the
+    timer now fires after everything queued for that instant since its
+    previous arm (the flow engine's synchronous wake relies on this)."""
+    env = Environment()
+    log = []
+    timer = env.timer(lambda: log.append("timer"))
+    timer.arm(5.0)
+    env.call_at(5.0, log.append, "other")
+    env.run()
+    assert log == ["timer", "other"]
+
+    log.clear()
+    timer.arm(10.0)
+    env.call_at(10.0, log.append, "other")
+    timer.arm(10.0)
+    env.run()
+    assert log == ["other", "timer"]
+
+
+def test_timer_arm_pushes_exactly_one_entry():
+    class Pushes:
+        count = 0
+
+        def on_schedule(self, when, now, qsize):
+            self.count += 1
+
+        def on_dispatch(self, item, now, wall_seconds, qsize):
+            pass
+
+    pushes = Pushes()
+    env = Environment(hooks=pushes)
+    timer = env.timer(lambda: None)
+    timer.arm(1.0)
+    timer.arm(1.0)
+    timer.cancel()
+    assert pushes.count == 2  # cancel pushes nothing
+    timer.arm(2.0)
+    assert pushes.count == 3
