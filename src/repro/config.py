@@ -41,8 +41,9 @@ class PlatformConfig:
     #: re-occupy the returning GPUs — displaced jobs then stay where
     #: they are ("not in time", §4).
     migrate_back_scan_delay: float = 2 * MINUTE
-    #: Seconds the dispatch loop waits before retrying when no node
-    #: can take the head-of-queue request.
+    #: Seconds between dispatch retries of requests no node could
+    #: take: parked work is re-queued on this grid, and the retry
+    #: timer is disarmed while nothing is parked.
     dispatch_retry_interval: float = 30.0
     #: Container start latency on provider nodes (seconds).
     container_start_latency: float = 2.0

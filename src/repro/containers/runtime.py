@@ -98,14 +98,17 @@ class Container:
         """Value of ``NVIDIA_VISIBLE_DEVICES`` inside the container."""
         return ",".join(gpu.uuid for gpu in self.gpus) or "void"
 
-    def _transition(self, new_state: ContainerState, now: float) -> None:
+    def _transition(self, new_state: ContainerState,
+                    now: float) -> LifecycleEvent:
         if new_state not in _TRANSITIONS[self.state]:
             raise InvalidTransitionError(
                 f"{self.container_id}: illegal transition "
                 f"{self.state.value} -> {new_state.value}"
             )
         self.state = new_state
-        self.history.append(LifecycleEvent(self.container_id, now, new_state))
+        event = LifecycleEvent(self.container_id, now, new_state)
+        self.history.append(event)
+        return event
 
 
 class ContainerRuntime:
@@ -166,12 +169,15 @@ class ContainerRuntime:
         validate_host_support(self.node.facts, chosen)
         container = Container(spec, image, self.node, chosen)
         self.containers[container.container_id] = container
-        self._record(container, ContainerState.CREATED)
+        self.lifecycle_log.append(LifecycleEvent(
+            container.container_id, self.env.now, ContainerState.CREATED))
         return container
 
-    def _record(self, container: Container, state: ContainerState) -> None:
-        event = LifecycleEvent(container.container_id, self.env.now, state)
-        self.lifecycle_log.append(event)
+    def _transition(self, container: Container,
+                    state: ContainerState) -> None:
+        """Move ``container`` to ``state`` and log it: the container's
+        history and :attr:`lifecycle_log` share the one event."""
+        self.lifecycle_log.append(container._transition(state, self.env.now))
 
     def start(self, container: Container, gpus: Tuple[GPUDevice, ...]) -> Event:
         """Pull (if needed), bind GPUs, and start the container.
@@ -201,8 +207,7 @@ class ContainerRuntime:
     def _start(self, container: Container, gpus: Tuple[GPUDevice, ...]) -> Generator:
         reference = container.spec.image_reference
         if not self.image_cached(reference):
-            container._transition(ContainerState.PULLING, self.env.now)
-            self._record(container, ContainerState.PULLING)
+            self._transition(container, ContainerState.PULLING)
             yield self.network.transfer(
                 self.registry.hostname,
                 self.node.hostname,
@@ -210,34 +215,29 @@ class ContainerRuntime:
                 category="image-pull",
             )
             self._image_cache[reference] = container.image
-        container._transition(ContainerState.STARTING, self.env.now)
-        self._record(container, ContainerState.STARTING)
+        self._transition(container, ContainerState.STARTING)
         for gpu in gpus:
             gpu.allocate_memory(container.container_id,
                                 container.spec.gpu.memory_per_gpu)
         container.gpus = tuple(gpus)
         yield self.env.timeout(self.start_latency)
-        container._transition(ContainerState.RUNNING, self.env.now)
-        self._record(container, ContainerState.RUNNING)
+        self._transition(container, ContainerState.RUNNING)
         return container
 
     # -- lifecycle verbs -------------------------------------------------------------
 
     def begin_checkpoint(self, container: Container) -> None:
         """Move RUNNING → CHECKPOINTING (compute pauses)."""
-        container._transition(ContainerState.CHECKPOINTING, self.env.now)
-        self._record(container, ContainerState.CHECKPOINTING)
+        self._transition(container, ContainerState.CHECKPOINTING)
 
     def end_checkpoint(self, container: Container) -> None:
         """Move CHECKPOINTING → RUNNING (compute resumes)."""
-        container._transition(ContainerState.RUNNING, self.env.now)
-        self._record(container, ContainerState.RUNNING)
+        self._transition(container, ContainerState.RUNNING)
 
     def stop(self, container: Container) -> None:
         """Graceful stop: job finished or migrated away cleanly."""
         self._release_gpus(container)
-        container._transition(ContainerState.STOPPED, self.env.now)
-        self._record(container, ContainerState.STOPPED)
+        self._transition(container, ContainerState.STOPPED)
 
     def kill(self, container: Container) -> None:
         """Immediate termination (kill-switch path).
@@ -248,16 +248,14 @@ class ContainerRuntime:
         if container.is_terminal:
             return
         self._release_gpus(container)
-        container._transition(ContainerState.KILLED, self.env.now)
-        self._record(container, ContainerState.KILLED)
+        self._transition(container, ContainerState.KILLED)
 
     def fail(self, container: Container, reason: str = "") -> None:
         """Mark a container crashed (host fault, OOM, ...)."""
         if container.is_terminal:
             return
         self._release_gpus(container)
-        container._transition(ContainerState.FAILED, self.env.now)
-        self._record(container, ContainerState.FAILED)
+        self._transition(container, ContainerState.FAILED)
 
     def _release_gpus(self, container: Container) -> None:
         for gpu in container.gpus:

@@ -24,6 +24,7 @@ The coordinator's moving parts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, nextafter
 from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
                     Set)
 
@@ -31,7 +32,7 @@ from ..config import PlatformConfig
 from ..errors import NetworkError
 from ..monitoring import EventLog, SystemDatabase
 from ..network import CampusLAN, FlowNetwork, RpcLayer
-from ..sim import Environment, Interrupt, Process
+from ..sim import Environment, Interrupt, Process, grid_point
 from ..storage import CheckpointStore
 from ..workloads.interactive import (
     InteractiveSessionSpec,
@@ -159,7 +160,10 @@ class Coordinator:
         #: CoordinatorHA` on every takeover; 1 means "original primary".
         self.epoch = 1
         self._dispatch_proc: Optional[Process] = None
-        self._retry_proc: Optional[Process] = None
+        #: Dispatch-retry: armed only while requests are parked, on the
+        #: ``dispatch_retry_interval`` grid of its last wake.
+        self._retry_timer = env.timer(self._retry_due)
+        self._retry_base = env.now
         self._departure_hints: Dict[str, str] = {}
         #: job_id → (origin campus, forward hops, relay path) for work
         #: forwarded here by a federation gateway; keeps provenance
@@ -181,8 +185,8 @@ class Coordinator:
     def _start_loops(self) -> None:
         self._dispatch_proc = self.env.process(self._dispatch_loop(),
                                                name="dispatch-loop")
-        self._retry_proc = self.env.process(self._retry_loop(),
-                                            name="dispatch-retry")
+        self._retry_base = self.env.now
+        self._arm_retry()
 
     def _bind_endpoint(self) -> None:
         endpoint = self.rpc.bind(self.hostname)
@@ -306,6 +310,7 @@ class Coordinator:
         for index, request in enumerate(self._parked):
             if request.request_id == job_id:
                 del self._parked[index]
+                self._parked_changed()
                 self.jobs[job_id].status = JobStatus.CANCELLED
                 self.finish_trace(job_id, "cancelled")
                 return None
@@ -586,18 +591,31 @@ class Coordinator:
             except Interrupt:
                 return  # crash mid-dispatch; the lease survives for resync
 
-    def _retry_loop(self) -> Generator:
-        while True:
-            try:
-                yield self.env.timeout(self.config.dispatch_retry_interval)
-            except Interrupt:
-                return
-            self._release_parked()
+    def _arm_retry(self) -> None:
+        """Arm dispatch-retry while requests are parked, at the first
+        point of its grid strictly after now; disarm it otherwise."""
+        if not self._parked:
+            self._retry_timer.cancel()
+        elif self._retry_timer.when == inf and not self._crashed:
+            self._retry_base, when = grid_point(
+                self._retry_base, self.config.dispatch_retry_interval,
+                nextafter(self.env.now, inf))
+            self._retry_timer.arm(when)
+
+    def _retry_due(self) -> None:
+        self._retry_base = self.env.now
+        self._release_parked()
+
+    def _parked_changed(self) -> None:
+        self._arm_retry()
+        # ``queue_pressure`` counts parked requests with queued ones.
+        self.queue.notify()
 
     def _release_parked(self) -> None:
         if not self._parked:
             return
         parked, self._parked = self._parked, []
+        self._parked_changed()
         for request in parked:
             self.queue.push(request)
 
@@ -640,6 +658,7 @@ class Coordinator:
                     pass  # a federation gateway owns the request now
                 else:
                     self._parked.append(request)
+                    self._parked_changed()
                 return
             reserve = request.gpu_memory_needed
             if request.exclusive:
@@ -776,11 +795,10 @@ class Coordinator:
         self._crashed = True
         self.rpc.unbind(self.hostname)
         self.monitor.suspend()
-        for proc in (self._dispatch_proc, self._retry_proc):
-            if proc is not None and proc.is_alive:
-                proc.interrupt("coordinator-crash")
+        if self._dispatch_proc is not None and self._dispatch_proc.is_alive:
+            self._dispatch_proc.interrupt("coordinator-crash")
         self._dispatch_proc = None
-        self._retry_proc = None
+        self._retry_timer.cancel()
         self._dispatching.clear()  # volatile: RPC futures died with us
         self.events.emit("coordinator-crashed", host=self.hostname)
 

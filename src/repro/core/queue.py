@@ -8,7 +8,7 @@ orders requests by priority class then FIFO, and supports withdrawal
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..sim import Environment, Event, PriorityStore
 from .messages import ResourceRequest
@@ -22,14 +22,31 @@ class DispatchQueue:
         self._store = PriorityStore(env)
         self.total_enqueued = 0
         self._pending_pops: Dict[Event, Event] = {}
+        self._listeners: List[Callable[[], None]] = []
 
     def __len__(self) -> int:
         return len(self._store)
+
+    def add_listener(self, callback: Callable[[], None]) -> None:
+        """Register ``callback()``, called by :meth:`notify`."""
+        self._listeners.append(callback)
+
+    def notify(self) -> None:
+        """Tell listeners the pending work changed.
+
+        The queue calls it on every length change: a push, a delivered
+        pop, a withdrawal, a cancelled pop that puts its request back.
+        The coordinator calls it when its parked list changes, which
+        its ``queue_pressure`` counts together with the queue.
+        """
+        for listener in self._listeners:
+            listener()
 
     def push(self, request: ResourceRequest) -> None:
         """Enqueue a request."""
         self.total_enqueued += 1
         self._store.put((request.sort_key(), request))
+        self.notify()
 
     def pop(self) -> Event:
         """Event that fires with the next request (priority order)."""
@@ -42,6 +59,7 @@ class DispatchQueue:
             if event.ok:
                 _, request = event.value
                 result.succeed(request)
+                self.notify()
             else:
                 result.fail(event.value)
 
@@ -67,13 +85,17 @@ class DispatchQueue:
             return
         if result.triggered and result.ok and result.value is not None:
             self._store.put((result.value.sort_key(), result.value))
+            self.notify()
 
     def withdraw(self, request_id: str) -> Optional[ResourceRequest]:
         """Remove a pending request by workload id (None if absent)."""
         removed = self._store.remove(
             lambda item: item[1].request_id == request_id
         )
-        return removed[1] if removed else None
+        if removed is None:
+            return None
+        self.notify()
+        return removed[1]
 
     def pending_ids(self):
         """Ids of all queued requests (priority order)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import AuthenticationError, RegistrationError
 from ..sim import Environment
@@ -89,10 +89,19 @@ class NodeRegistry:
         self._by_hostname: Dict[str, str] = {}
         #: Bumped on every change that can alter what a capacity scan
         #: would see (registration, status moves, memory bookkeeping).
-        #: Consumers — the federation gateway's gossip digest — cache
-        #: their scan keyed on this version instead of rescanning the
-        #: whole inventory on every fast tick.
         self.version = 0
+        self._listeners: List[Callable[[], None]] = []
+
+    def add_listener(self, callback: Callable[[], None]) -> None:
+        """Register ``callback()``, called after every :attr:`version`
+        bump: how the federation gateway's gossip learns that its
+        capacity digest may have changed."""
+        self._listeners.append(callback)
+
+    def _bump(self) -> None:
+        self.version += 1
+        for listener in self._listeners:
+            listener()
 
     # -- registration -----------------------------------------------------
 
@@ -127,7 +136,7 @@ class NodeRegistry:
         )
         self._records[node_id] = record
         self._by_hostname[hostname] = node_id
-        self.version += 1
+        self._bump()
         return record
 
     def authenticate(self, node_id: str, token: str) -> NodeRecord:
@@ -167,7 +176,7 @@ class NodeRegistry:
     def set_status(self, node_id: str, status: NodeStatus) -> None:
         """Move a node to ``status``."""
         self.get(node_id).status = status
-        self.version += 1
+        self._bump()
 
     def touch_heartbeat(self, node_id: str) -> None:
         """Record a heartbeat receipt time."""
@@ -182,7 +191,7 @@ class NodeRegistry:
                 f"{gpu.memory_free:.0f} B"
             )
         gpu.memory_free -= nbytes
-        self.version += 1
+        self._bump()
 
     def release_gpu(self, node_id: str, gpu_uuid: str, nbytes: float) -> None:
         """Return memory to the free-memory view (clamped to total)."""
@@ -193,4 +202,4 @@ class NodeRegistry:
         if gpu is None:
             return
         gpu.memory_free = min(gpu.memory_total, gpu.memory_free + nbytes)
-        self.version += 1
+        self._bump()

@@ -72,6 +72,7 @@ class ByzantineAdversary:
         self._proc: Optional[Process] = None
         self._seq = 0
         gateway.adversary = self
+        gateway.note_change()  # gossip ticks every tick from now on
 
     def set(self, mode: str) -> None:
         """Begin one misbehavior mode."""

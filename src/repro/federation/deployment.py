@@ -181,6 +181,9 @@ class FederatedDeployment:
                 latency: Optional[float] = None) -> None:
         """Join two campuses with a symmetric WAN link pair."""
         self.wan.connect(a, b, capacity=capacity, latency=latency)
+        for name in (a, b):
+            if name in self.sites:
+                self.sites[name].gateway.note_change()  # a new peer is due
 
     def enable_bulk_autorate(
         self,

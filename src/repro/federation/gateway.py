@@ -2,17 +2,17 @@
 
 One gateway fronts each campus deployment.  It owns five duties:
 
-* **Gossip** — periodically compute a :class:`CapacityDigest` from the
-  local coordinator's registry and push it to every *WAN neighbour*
-  (direct peering only: capacity knowledge is one hop wide, which is
-  what makes multi-hop relaying worth having), keeping a (possibly
-  stale) view of neighbouring spare capacity.  A changed digest goes
-  out on the next tick; an unchanged one is re-sent only when the
-  peer's copy would otherwise go stale, so gossip costs track change,
-  not elapsed time.  With ``gossip_interval_min`` set the tick turns
-  fast: spare capacity, queue pressure, or credit-balance drift reach
-  peers within seconds, cutting the staleness window that makes peers
-  forward into a wall.
+* **Gossip** — compute a :class:`CapacityDigest` from the local
+  coordinator's registry and push it to every *WAN neighbour* (direct
+  peering only: capacity knowledge is one hop wide, which is what
+  makes multi-hop relaying worth having), keeping a (possibly stale)
+  view of neighbouring spare capacity.  A changed digest goes out on
+  the next tick; an unchanged one is re-sent only when the peer's copy
+  would otherwise go stale, and between those the loop sleeps, so
+  gossip costs track change, not elapsed time.  With
+  ``gossip_interval_min`` set the tick turns fast: spare capacity,
+  queue pressure, or credit-balance drift reach peers within seconds,
+  cutting the staleness window that makes peers forward into a wall.
 * **Egress** — the coordinator's ``on_unplaceable`` hook lands here:
   when the local fleet cannot place a training request, the gateway
   may take ownership and offer the job to the best-scoring peer via a
@@ -40,12 +40,12 @@ One gateway fronts each campus deployment.  It owns five duties:
   and notifies the previous hop; relays chain the notice onward, each
   hop keeping it until acknowledged, so a partitioned origin receives
   it on heal instead of never.
-* **Reconciliation** — a periodic pass (kicked immediately by every
-  WAN heal) resolves unknown-outcome delegations, delivers pending
-  cross-site cancellations with at-most-once effect, and re-sends
-  unacknowledged completion notices.  Every reconciliation message is
-  idempotent at the receiver, so heal-kicks and the steady-state timer
-  may race freely.
+* **Reconciliation** — a pass (kicked immediately by every WAN heal,
+  and periodic only while work is left) resolves unknown-outcome
+  delegations, delivers pending cross-site cancellations with
+  at-most-once effect, and re-sends unacknowledged completion
+  notices.  Every reconciliation message is idempotent at the
+  receiver, so heal-kicks and the timer may race freely.
 
 All messaging rides the WAN RPC layer, so control chatter and bulk
 replication compete for the same long-haul links — and all of it can
@@ -56,15 +56,16 @@ link is severed.
 from __future__ import annotations
 
 from dataclasses import replace
+from math import inf, nextafter
 from typing import (TYPE_CHECKING, Callable, Dict, Generator, List,
-                    Optional, Set, Tuple)
+                    Optional, Set)
 
 from ..core.messages import ResourceRequest
 from ..core.platform import GPUnionPlatform
 from ..errors import NetworkError, SnapshotVersionError
 from ..monitoring.events import PlatformEvent
 from ..network import FlowNetwork, RpcError, RpcLayer, WanTopology
-from ..sim import Event, Interrupt, Process
+from ..sim import Event, Interrupt, Process, due_time, grid_point
 from ..units import HOUR
 from ..workloads.training import JobStatus, TrainingJobSpec
 from .admission import AdmissionController
@@ -206,6 +207,8 @@ class FederationGateway:
         self._reconcile_wake: Optional[Event] = None
         self._reconcile_timer = self.env.timer(self._reconcile_due)
         self._reconcile_kicked = False
+        #: The reconcile grid's origin: the loop's last wake.
+        self._reconcile_base = 0.0
 
         #: Durable-state vault (attached by the deployment when
         #: control-plane failover is enabled; ``None`` keeps every
@@ -227,13 +230,21 @@ class FederationGateway:
         self._pushed_digest: Dict[str, CapacityDigest] = {}
         self._pushed_at: Dict[str, float] = {}
         self._pushed_balance: Dict[str, float] = {}
-        #: Memoized registry scan behind the digest: (free idle-GPU
-        #: count, sorted card classes), valid for one registry
-        #: version.  The fast gossip tick rebuilds the digest only to
-        #: check drift; without this it walked every node's inventory
-        #: each tick even when nothing had changed.
-        self._scan_version = -1
-        self._scan: Tuple[int, tuple] = (0, ())
+        #: The gossip loop sleeps on one timer until a round is due:
+        #: ``_gossip_wake`` is the event it waits on (triggered while
+        #: a round runs), ``_gossip_base`` the end of its last round,
+        #: the origin of its tick grid, and ``_gossip_before`` the grid
+        #: point before the armed one (``inf`` while disarmed).
+        #: ``_gossip_dirty`` records a change mark during a round.
+        interval = self.config.gossip_interval
+        self._gossip_tick = self.config.gossip_interval_min or interval
+        self._gossip_refresh = max(interval,
+                                   self.config.digest_staleness - interval)
+        self._gossip_wake: Optional[Event] = None
+        self._gossip_timer = self.env.timer(self._gossip_due)
+        self._gossip_base = 0.0
+        self._gossip_before = inf
+        self._gossip_dirty = False
 
         self.forwarded_out = 0
         self.forwarded_in = 0
@@ -241,8 +252,8 @@ class FederationGateway:
         #: ``forwarded_out``): the relay traffic multi-hop enables.
         self.relayed_out = 0
         self.declined = 0
-        #: Gossip ticks that targeted at least one peer, whether or
-        #: not any push got through.
+        #: Gossip rounds that targeted at least one peer, whether or
+        #: not any push got through (a sleeping loop counts nothing).
         self.gossip_rounds = 0
         #: Digests delivered to a neighbour, and pushes that failed.
         self.digests_pushed = 0
@@ -267,6 +278,9 @@ class FederationGateway:
         wan.add_site(site)
         wan.add_listener(self._on_wan_transition)
         ledger.register_site(site)
+        ledger.add_listener(self._on_ledger_entry)
+        platform.coordinator.registry.add_listener(self.note_change)
+        platform.coordinator.queue.add_listener(self.note_change)
         self._bind_endpoint()
         platform.coordinator.on_unplaceable = self._on_unplaceable
         platform.coordinator.on_cancel_delegated = self._on_cancel_delegated
@@ -378,10 +392,14 @@ class FederationGateway:
             if record.host is not None
             and record.host.state is HostingState.COMMITTING)
         if self.config.host_foreign_jobs:
-            free_gpus, free_cards = self._registry_scan()
-            # The reservation is time-dependent (the arrival-rate
-            # forecast decays with silence), so it is applied fresh on
-            # every digest rather than folded into the cached scan.
+            card_classes = set()
+            for record in self.platform.coordinator.registry.schedulable():
+                for gpu in record.gpus.values():
+                    if gpu.memory_free >= gpu.memory_total:
+                        free_gpus += 1
+                        card_classes.add(
+                            (gpu.memory_total, tuple(gpu.compute_capability)))
+            free_cards = tuple(sorted(card_classes))
             free_gpus -= self.admission.reserved_headroom()
         return CapacityDigest(
             site=self.site,
@@ -390,28 +408,6 @@ class FederationGateway:
             queue_pressure=self.platform.coordinator.queue_pressure + reserved,
             advertised_at=self.env.now,
         )
-
-    def _registry_scan(self) -> Tuple[int, tuple]:
-        """Idle-GPU count and card classes, cached per registry version.
-
-        Every mutation that can change the scan (registration, status
-        moves, memory reserve/release) bumps the registry's version
-        counter, so a clean version means the cached scan is exact —
-        the steady-state fast tick never re-walks the inventory.
-        """
-        registry = self.platform.coordinator.registry
-        if registry.version != self._scan_version:
-            free_gpus = 0
-            card_classes = set()
-            for record in registry.schedulable():
-                for gpu in record.gpus.values():
-                    if gpu.memory_free >= gpu.memory_total:
-                        free_gpus += 1
-                        card_classes.add(
-                            (gpu.memory_total, tuple(gpu.compute_capability)))
-            self._scan_version = registry.version
-            self._scan = (free_gpus, tuple(sorted(card_classes)))
-        return self._scan
 
     def _digest_drifted(self, peer: str, digest: CapacityDigest,
                         balance: float) -> bool:
@@ -439,34 +435,45 @@ class FederationGateway:
     def _gossip_loop(self) -> Generator:
         """Push capacity digests to neighbours.
 
-        The loop wakes every tick: ``gossip_interval`` by default, or
-        the fast ``gossip_interval_min`` when set.  A peer is due for a
-        push when its digest drifted since the last one it received —
-        freshly-freed capacity, a changed queue, or credit-balance
-        movement — or when that push is ``refresh`` seconds old, where
-        ``refresh = max(gossip_interval, digest_staleness -
-        gossip_interval)``.  An unchanged digest therefore goes out
-        only before the peer's copy would go stale: the next push lands
-        at most ``refresh + tick <= digest_staleness`` after the last,
-        one full gossip round inside the staleness bound.  The clamp
-        keeps every configuration at or below the old once-per-interval
-        push rate.
+        Rounds fall on a grid of ticks: ``gossip_interval`` by default,
+        or the fast ``gossip_interval_min`` when set, counted from the
+        end of the last round.  A peer is due for a push when its
+        digest drifted since the last one it received (freshly-freed
+        capacity, a changed queue, or credit-balance movement) or when
+        that push is ``refresh`` seconds old, where ``refresh =
+        max(gossip_interval, digest_staleness - gossip_interval)``.  An
+        unchanged digest therefore goes out only before the peer's copy
+        would go stale: the next push lands at most ``refresh + tick
+        <= digest_staleness`` after the last.
+
+        Between rounds the loop sleeps on one timer, armed at the first
+        tick at or after the earliest refresh or quarantine deadline,
+        or at the next tick when a change mark (:meth:`note_change`)
+        arrived during the round.  A mark while it sleeps pulls the
+        timer to the first tick at or after now.  A quiet federation
+        therefore wakes only at refresh deadlines, while a change still
+        goes out on the tick the old every-tick loop would have sent it.
+        The loop ticks every tick while an adversary is attached (its
+        seams keep their per-tick timing) or while the admission
+        headroom horizon is set (the forecast decays with time).
 
         Due-ness and drift are evaluated per peer, and a peer's state
-        advances only on a *successful* push — a partitioned neighbour
-        keeps retrying every tick and receives a fresh digest on the
-        first tick after heal.  A restarted gateway or a peer leaving
-        quarantine, though, may wait up to ``refresh + tick`` for an
-        unchanged neighbour digest.
+        advances only on a *successful* push: a failed push marks, so
+        a partitioned neighbour is retried every tick and receives a
+        fresh digest on the first tick after heal.  A restarted gateway
+        or a peer leaving quarantine, though, may wait up to ``refresh
+        + tick`` for an unchanged neighbour digest.
         """
-        interval = self.config.gossip_interval
-        tick = self.config.gossip_interval_min or interval
-        refresh = max(interval, self.config.digest_staleness - interval)
+        refresh = self._gossip_refresh
+        self._gossip_base = self.env.now
         while True:
+            self._gossip_wake = self.env.event()
+            self._arm_gossip()
             try:
-                yield self.env.timeout(tick)
+                yield self._gossip_wake
             except Interrupt:
                 return  # gateway crashed
+            self._gossip_dirty = False
             digest = self.local_digest()
             if self.adversary is not None:
                 digest = self.adversary.advertise(digest)
@@ -474,7 +481,7 @@ class FederationGateway:
             balance = self.ledger.balance(self.site)
             targets = [
                 peer for peer in self.peers
-                if now - self._pushed_at.get(peer, float("-inf")) >= refresh
+                if now - self._pushed_at.get(peer, -inf) >= refresh
                 or self._digest_drifted(peer, digest, balance)
             ]
             if targets:
@@ -486,7 +493,8 @@ class FederationGateway:
                     return  # gateway crashed
                 except NetworkError:
                     self.digest_push_failures += 1
-                    continue  # partitioned peer; retried next tick
+                    self._gossip_dirty = True  # retried next tick
+                    continue
                 self.digests_pushed += 1
                 # Stamped with the decision-time clock (not the
                 # post-push clock) so all peers in one round share
@@ -499,6 +507,55 @@ class FederationGateway:
                     yield from self._sharechain_tick()
                 except Interrupt:
                     return  # gateway crashed
+            self._gossip_base = self.env.now
+
+    def _arm_gossip(self) -> None:
+        """Sleep until the first tick after the round that is at or
+        after the earliest due time; with none, until a mark."""
+        if (self._gossip_dirty or self.adversary is not None
+                or self.config.admission_headroom_horizon > 0):
+            due = self._gossip_base
+        else:
+            due = min((due_time(self._pushed_at[peer], self._gossip_refresh)
+                       if peer in self._pushed_at else -inf
+                       for peer in self.peers), default=inf)
+            if self.trust is not None:
+                due = min(due, self.trust.next_deadline())
+        if due == inf:
+            self._gossip_before = inf
+            return
+        self._gossip_before, when = grid_point(
+            self._gossip_base, self._gossip_tick, due)
+        self._gossip_timer.arm(when)
+
+    def _gossip_due(self) -> None:
+        self._gossip_wake.succeed()
+
+    def note_change(self) -> None:
+        """Mark that an input of the digest, the balance or the chain
+        delta changed, so gossip re-checks on the next tick.
+
+        During a round the mark only sets the dirty flag, and the
+        round's end arms the next tick.  While the loop sleeps it
+        re-arms the timer to the first tick at or after now, if that
+        is earlier than the armed one.  The round's drift check decides
+        whether anything is pushed, so a spurious mark costs one round
+        and never a wrong push.
+        """
+        wake = self._gossip_wake
+        if wake is None or wake.triggered:
+            self._gossip_dirty = True
+            return
+        now = self.env.now
+        if self._gossip_before < now:
+            return  # the armed tick is already the first at or after now
+        self._gossip_before, when = grid_point(
+            self._gossip_base, self._gossip_tick, now)
+        self._gossip_timer.arm(when)
+
+    def _on_ledger_entry(self, entry: CreditEntry) -> None:
+        if self.site in (entry.donor, entry.beneficiary):
+            self.note_change()  # this site's balance moved
 
     def _handle_digest(self, digest: CapacityDigest):
         if self.trust is not None and self.trust.blocks(digest.site):
@@ -522,7 +579,7 @@ class FederationGateway:
         self.trust = PeerTrust(self.site, self.config)
 
     def _sharechain_tick(self) -> Generator:
-        """One verification turn per gossip tick: advance the
+        """One verification turn per gossip round: advance the
         quarantine clock, then sync this site's chain view (suffixes
         past what each peer last acknowledged) to every trusted peer.
         """
@@ -537,6 +594,7 @@ class FederationGateway:
                 delta = self.adversary.chain_delta(delta)
             if not delta:
                 continue
+            self._gossip_dirty = True  # the ack is checked next tick
             try:
                 reply = yield self._call(
                     peer, "chain-entries",
@@ -559,6 +617,7 @@ class FederationGateway:
             return {"rejected": "quarantined"}
         for signed in payload.get("entries", ()):
             self._ingest_chain_entry(signed, sender)
+        self.note_change()  # our view grew: other peers' deltas did too
         return {"heads": self.sharechain.heads()}
 
     def _ingest_chain_entry(self, signed: SignedEntry,
@@ -652,6 +711,7 @@ class FederationGateway:
         claim token the offender already holds resolves through the
         normal probe machinery.
         """
+        self.note_change()
         purged = 0
         if new in (TrustState.QUARANTINED, TrustState.EVICTED):
             purged = self.sharechain.purge_signer(peer)
@@ -692,6 +752,7 @@ class FederationGateway:
         if self.adversary is not None and self.adversary.record(entry):
             return
         self.sharechain.append(entry)
+        self.note_change()
 
     # -- WAN transitions --------------------------------------------------
 
@@ -1086,6 +1147,7 @@ class FederationGateway:
         # The lease reserves the accepted card in our digest until the
         # claim arrives, so concurrent origins cannot all book it.
         self._offers[token] = offer
+        self.note_change()
         # Persist the token ordinal: leases are volatile, but a token
         # recycled after a crash could alias a pre-crash handshake.
         self._checkpoint()
@@ -1093,8 +1155,15 @@ class FederationGateway:
                             self._lease_expiry, token)
         return {"accepted": True, "claim_token": token}
 
-    def _lease_expiry(self, token: str) -> None:
+    def _drop_offer(self, token: Optional[str]) -> Optional[ForwardOffer]:
+        """Release the capacity lease behind ``token``, if still held."""
         offer = self._offers.pop(token, None)
+        if offer is not None:
+            self.note_change()
+        return offer
+
+    def _lease_expiry(self, token: str) -> None:
+        offer = self._drop_offer(token)
         if offer is not None:
             self.platform.events.emit("forward-lease-expired",
                                       job_id=offer.spec.job_id,
@@ -1108,7 +1177,7 @@ class FederationGateway:
             # Idempotent replay: we committed this exact handshake and
             # the acknowledgement was lost.  Do NOT schedule again.
             return {"committed": True}
-        offer = self._offers.pop(token, None)
+        offer = self._drop_offer(token)
         if offer is None:
             # Lease expired (or was never granted): nothing committed,
             # so the origin can safely requeue.
@@ -1123,6 +1192,7 @@ class FederationGateway:
         leg = record.host = HostRecord(
             envelope.origin_site, envelope.progress, envelope.relay_path,
             token)
+        self.note_change()
         category = (CHECKPOINT_CATEGORY if envelope.restore
                     else DATASET_CATEGORY)
         tracer = self.tracer
@@ -1149,6 +1219,7 @@ class FederationGateway:
             # same-instant crash and restart this record is an orphan
             # the table no longer holds, and dropping its leg is moot.
             record.host = None
+            self.note_change()
             if tracer is not None:
                 tracer.finish(pull, status="pull-failed")
             self.platform.events.emit("forward-commit-aborted",
@@ -1160,6 +1231,7 @@ class FederationGateway:
         # same-instant crash and restart reset it.
         self.records.setdefault(job_id, record).host = leg
         _advance(leg, HostingState.HOSTED)
+        self.note_change()
         if tracer is not None:
             tracer.finish(pull)
         if envelope.snapshot is not None:
@@ -1183,7 +1255,7 @@ class FederationGateway:
         return {"committed": True}
 
     def _handle_forward_release(self, payload: dict):
-        self._offers.pop(payload.get("claim_token"), None)
+        self._drop_offer(payload.get("claim_token"))
         return "ok"
 
     def _handle_forward_status(self, payload: dict) -> dict:
@@ -1200,7 +1272,7 @@ class FederationGateway:
         if state is None:
             # The origin abandoned this handshake; free the lease now
             # instead of waiting for expiry.
-            self._offers.pop(payload.get("claim_token"), None)
+            self._drop_offer(payload.get("claim_token"))
             return {"state": "absent"}
         if state.status is JobStatus.CANCELLED:
             return {"state": "cancelled"}
@@ -1464,6 +1536,9 @@ class FederationGateway:
     def _kick_reconcile(self) -> None:
         """Run a reconciliation pass as soon as possible.
 
+        Kicks bypass the timer, which only runs while there is work
+        (see :meth:`_arm_reconcile`).
+
         A kick while a pass is already running (its wake has fired)
         must set the flag, or the heal-time kick would be lost until
         the next timer tick.
@@ -1483,14 +1558,30 @@ class FederationGateway:
                    or record.notice is not None
                    for record in self.records.values())
 
+    def _arm_reconcile(self) -> None:
+        """Arm the sleeping reconcile loop if there is work: at the
+        first point of its ``reconcile_interval`` grid strictly after
+        now.  Runs after every table mutation (:meth:`_checkpoint`), so
+        the loop never sleeps through work it has."""
+        wake = self._reconcile_wake
+        if (wake is None or wake.triggered
+                or self._reconcile_timer.when != inf
+                or not self._has_reconcile_work()):
+            return
+        self._reconcile_base, when = grid_point(
+            self._reconcile_base, self.config.reconcile_interval,
+            nextafter(self.env.now, inf))
+        self._reconcile_timer.arm(when)
+
     def _reconcile_loop(self) -> Generator:
         while True:
             wake = self._reconcile_wake = self.env.event()
+            self._reconcile_base = self.env.now
             if self._reconcile_kicked:
                 self._reconcile_kicked = False
                 wake.succeed()
-            self._reconcile_timer.arm(
-                self.env.now + self.config.reconcile_interval)
+            else:
+                self._arm_reconcile()
             try:
                 yield wake
             except Interrupt:
@@ -1618,13 +1709,15 @@ class FederationGateway:
         self._checkpoint()
 
     def _checkpoint(self) -> None:
-        """Persist the table.  No-op without a vault.
+        """Persist the table, and wake the reconcile loop if it now has
+        work.  The snapshot is a no-op without a vault.
 
         Called after every mutation of snapshot-worthy state; crash
         points exist only at yields, so the vault is always current
         when one lands.  Leases and peer digests are volatile and not
         saved; the table's volatile facets are reset on restore.
         """
+        self._arm_reconcile()
         if self.vault is None or self._crashed:
             return
         snap = GatewaySnapshot(
@@ -1661,10 +1754,11 @@ class FederationGateway:
         self._reconcile_wake = None
         self._reconcile_timer.cancel()
         self._reconcile_kicked = False
+        self._gossip_wake = None
+        self._gossip_timer.cancel()
         self._pushed_digest.clear()
         self._pushed_at.clear()
         self._pushed_balance.clear()
-        self._scan_version = -1
         # Volatile chain-gossip floors die with the process; the chain
         # view and trust state are durable operator state (the peers'
         # replies rebuild the floors).

@@ -34,7 +34,7 @@ whichever campus happens to advertise capacity first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,12 @@ class CreditLedger:
         self._donated: Dict[str, float] = {}
         self._consumed: Dict[str, float] = {}
         self._relay_fees: Dict[str, float] = {}
+        self._listeners: List[Callable[[CreditEntry], None]] = []
+
+    def add_listener(self, callback: Callable[[CreditEntry], None]) -> None:
+        """Register ``callback(entry)``, called after every entry is
+        recorded: how a gateway's gossip learns its balance moved."""
+        self._listeners.append(callback)
 
     def register_site(self, site: str) -> None:
         """Make a site show up in balance reports (idempotent)."""
@@ -97,6 +103,8 @@ class CreditLedger:
         self._consumed[beneficiary] += gpu_hours
         if kind == "relay-fee":
             self._relay_fees[donor] += gpu_hours
+        for listener in self._listeners:
+            listener(entry)
         return entry
 
     def record_donation(

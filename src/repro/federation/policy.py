@@ -67,12 +67,13 @@ class FederationConfig:
     #: EWMA smoothing factor for the admission controller's arrival
     #: and service-time estimates (1.0 = only the latest sample).
     admission_ewma_alpha: float = 0.3
-    #: When set, gossip turns adaptive: each gateway re-checks its
-    #: digest every ``gossip_interval_min`` seconds and pushes early
-    #: whenever spare capacity or queue pressure changed, or its
-    #: credit balance drifted by ``gossip_balance_drift`` — cutting
-    #: the staleness window that makes peers forward into a wall.
-    #: ``None`` keeps the fixed ``gossip_interval`` cadence.
+    #: When set, gossip turns adaptive: a change to spare capacity or
+    #: queue pressure, or a credit-balance drift of
+    #: ``gossip_balance_drift``, goes out on the next tick of this
+    #: finer grid instead of the next ``gossip_interval`` — cutting
+    #: the staleness window that makes peers forward into a wall.  A
+    #: quiet gateway still wakes only at its refresh deadlines.
+    #: ``None`` keeps the ``gossip_interval`` grid.
     gossip_interval_min: Optional[float] = None
     #: GPU-hour balance drift that triggers an early adaptive gossip.
     gossip_balance_drift: float = 1.0
@@ -95,8 +96,9 @@ class FederationConfig:
     #: token before an unclaimed offer expires.
     offer_lease_timeout: float = 600.0
     #: Cadence of the reconciliation pass (unknown-outcome probes,
-    #: pending cancels, unacked completion notices).  A WAN heal kicks
-    #: the pass immediately; this is the steady-state fallback.
+    #: pending cancels, unacked completion notices) while any of that
+    #: work is left.  A WAN heal kicks the pass immediately; without
+    #: work the pass does not run at all.
     reconcile_interval: float = 120.0
     #: Circumstantial strikes (e.g. capacity-mismatch declines) a peer
     #: accrues before share-chain verification quarantines it.  A

@@ -53,8 +53,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..sim import due_time
 from ..sim.rng import derive_seed
 from .ledger import CreditEntry, CreditLedger
 
@@ -446,6 +448,15 @@ class PeerTrust:
                 self._transition(peer, TrustState.TRUSTED, now,
                                  "probation-clean")
         return fired
+
+    def next_deadline(self) -> float:
+        """When :meth:`tick` next fires a transition (``inf``: never,
+        until a strike or a reinstatement)."""
+        terms = {TrustState.QUARANTINED: self.config.quarantine_duration,
+                 TrustState.PROBATION: self.config.probation_duration}
+        return min((due_time(self._since[peer], terms[state])
+                    for peer, state in self._state.items()
+                    if state in terms), default=inf)
 
     def reinstate(self, peer: str, now: float) -> bool:
         """Operator re-admission: evicted → probation."""

@@ -185,18 +185,27 @@ class SimulationServer(StatusEndpoint):
 
         An exception out of the simulation ends the thread (the default
         thread hook prints it) and is kept for :meth:`audit`.
+
+        The driver yields the GIL after every chunk that ran events.
+        A yield is a ``sleep(0)``, tens of microseconds, while a chunk
+        with nothing due only moves the clock, so such chunks run back
+        to back until they have cost as long as the last yield took.
         """
+        stepped = yielded = 0.0
         try:
             while not self._stop_driving.is_set():
                 caught_up = False
+                started = time.perf_counter()
                 with self.lock:
-                    now = self.deployment.env.now
+                    env = self.deployment.env
+                    now = env.now
                     until = now + self.chunk
                     if self.time_scale is not None:
                         elapsed = time.monotonic() - self._wall_start
                         target = self._sim_start + elapsed * self.time_scale
                         caught_up = target <= until
                         until = min(until, target)
+                    busy = env.peek() <= until
                     if until > now:
                         self.deployment.run(until=until)
                 # Out of the lock, so request threads get it between
@@ -205,8 +214,13 @@ class SimulationServer(StatusEndpoint):
                 # scaled clock that has caught up waits out the gap.
                 if caught_up:
                     self._stop_driving.wait(0.02)
-                else:
+                    continue
+                stepped += time.perf_counter() - started
+                if busy or stepped >= yielded:
+                    started = time.perf_counter()
                     time.sleep(0)
+                    yielded = time.perf_counter() - started
+                    stepped = 0.0
         except BaseException as error:
             self._driver_error = error
             raise

@@ -10,6 +10,8 @@ from .core import (
     SimulationError,
     Timeout,
     Timer,
+    due_time,
+    grid_point,
 )
 from .resources import PriorityStore, Resource, Store
 from .rng import RngStreams, derive_seed
@@ -24,6 +26,8 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "Timer",
+    "due_time",
+    "grid_point",
     "PriorityStore",
     "Resource",
     "Store",

@@ -27,6 +27,7 @@ Example
 from __future__ import annotations
 
 import heapq
+from math import inf, nextafter
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -375,6 +376,41 @@ class Timer:
         if seq == self._seq:  # else superseded by a re-arm or a cancel
             self.when = float("inf")
             self.fn()
+
+
+def grid_point(start: float, step: float,
+               at_least: float) -> Tuple[float, float]:
+    """The first of ``start + step``, ``start + 2*step``, ... that is at
+    least ``at_least``, and the grid point before it (``start`` when
+    the first point is the answer).
+
+    Points are built by repeated float addition: exactly the instants a
+    chain of ``timeout(step)`` started at ``start`` wakes at.  A loop
+    that sleeps through idle points and wakes on a later one therefore
+    keeps the chain's clock bit for bit.  For "strictly after ``t``"
+    pass ``nextafter(t, inf)``.
+    """
+    before, point = start, start + step
+    while point < at_least:
+        before, point = point, point + step
+    return before, point
+
+
+def due_time(origin: float, span: float) -> float:
+    """The earliest time ``t`` for which ``t - origin >= span`` holds.
+
+    ``origin + span`` may be one rounding step off either way; this is
+    the exact instant a ``now - origin >= span`` check first passes, so
+    a sleeper armed on it wakes neither early nor late.
+    """
+    t = origin + span
+    if t - origin >= span:
+        while nextafter(t, -inf) - origin >= span:
+            t = nextafter(t, -inf)
+    else:
+        while t - origin < span:
+            t = nextafter(t, inf)
+    return t
 
 
 class Environment:

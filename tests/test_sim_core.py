@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from math import inf, nextafter
+
 import pytest
 
 from repro.sim import (
@@ -10,6 +12,8 @@ from repro.sim import (
     Interrupt,
     SimulationError,
     Timer,
+    due_time,
+    grid_point,
 )
 
 
@@ -523,3 +527,38 @@ def test_timer_arm_pushes_exactly_one_entry():
     assert pushes.count == 2  # cancel pushes nothing
     timer.arm(2.0)
     assert pushes.count == 3
+
+
+def test_grid_point_lands_on_a_timeout_chain():
+    """A sleeper armed by ``grid_point`` wakes at exactly the float a
+    chain of ``timeout(step)`` from the same start reaches."""
+    env = Environment(initial_time=0.1)
+    wakes = []
+
+    def chain():
+        while env.now < 100.0:
+            yield env.timeout(7.3)
+            wakes.append(env.now)
+
+    env.process(chain())
+    env.run()
+    assert grid_point(0.1, 7.3, 50.0) == (wakes[5], wakes[6])
+    assert grid_point(0.1, 7.3, wakes[6]) == (wakes[5], wakes[6])
+    assert grid_point(0.1, 7.3, nextafter(wakes[6], inf))[1] == wakes[7]
+    assert grid_point(0.1, 7.3, -inf) == (0.1, wakes[0])
+
+
+@pytest.mark.parametrize("origin", [0.1, 9.160342, 15.000000000000002,
+                                    1234.5678, 86399.99999999999])
+@pytest.mark.parametrize("span", [15.0, 240.0, 3600.0])
+def test_due_time_is_the_first_instant_the_check_passes(origin, span):
+    due = due_time(origin, span)
+    assert due - origin >= span
+    assert nextafter(due, -inf) - origin < span
+
+
+def test_due_time_can_precede_the_plain_sum():
+    # The check already passes one step below 9.160342 + 240.0, so a
+    # sleeper armed on the plain sum could wake a whole tick late.
+    assert due_time(9.160342, 240.0) < 9.160342 + 240.0
+    assert due_time(15.000000000000002, 15.0) > 15.000000000000002 + 15.0
