@@ -11,6 +11,17 @@ data for the same links, exactly as on a real campus LAN.
 Handlers may be plain functions (instant logic) or generator functions
 (logic that itself takes simulated time, e.g. "checkpoint then reply").
 
+A call is not a process.  One small exchange object steps through it
+with callbacks on the events the call already has: one ``call_at(now)``
+entry for its first step, then the request leg's completion, a
+generator handler's child process, the response leg's completion and
+finally the caller's result.  An untimed call between idle hosts
+pushes six queue entries: the first step, a wake and a completion per
+leg, and the result.  A handler that raises anything but a
+:class:`~repro.errors.NetworkError` fails the call with
+:class:`RpcError` and is counted in :attr:`RpcLayer.handler_errors`,
+so a remote bug is never silent.
+
 Calls may carry a ``timeout``: if the full round trip has not finished
 by the deadline, the caller's event fails with
 :class:`~repro.errors.RpcTimeoutError` while the in-flight exchange
@@ -75,6 +86,10 @@ class RpcLayer:
         self.env = env
         self.network = network
         self._endpoints: Dict[str, RpcEndpoint] = {}
+        #: Handler exceptions turned into :class:`RpcError`, keyed by
+        #: (method, exception type name): remote bugs a caller only
+        #: sees as a failed call, counted so that none goes unseen.
+        self.handler_errors: Dict[Tuple[str, str], int] = {}
 
     def bind(self, hostname: str) -> RpcEndpoint:
         """Create (or return) the endpoint for ``hostname``."""
@@ -112,11 +127,9 @@ class RpcLayer:
         the remote side and any late response is dropped).
         """
         result = self.env.event()
-        self.env.process(
-            self._call_process(src, dst, method, payload,
-                               request_size, response_size, result),
-            name=f"rpc:{method}@{dst}",
-        )
+        exchange = _Exchange(self, src, dst, method, payload,
+                             request_size, response_size, result)
+        self.env.call_at(self.env.now, exchange.start)
         if timeout is not None:
             self.env.call_later(timeout, self._deadline,
                                 (result, timeout, method, dst))
@@ -131,33 +144,88 @@ class RpcLayer:
                 f"(remote outcome unknown)"
             ))
 
-    def _call_process(
-        self,
-        src: str,
-        dst: str,
-        method: str,
-        payload: Any,
-        request_size: float,
-        response_size: float,
-        result: Event,
-    ) -> Generator:
+
+class _Exchange:
+    """One call in flight: request leg, handler, response leg.
+
+    Each step is a callback on an event the call already has — the
+    request leg's ``done``, a generator handler's child process, the
+    response leg's ``done`` — so a call costs no process of its own.
+    A :class:`NetworkError` from any step reaches the caller as is;
+    any other exception is a handler bug, counted in
+    :attr:`RpcLayer.handler_errors` and wrapped in :class:`RpcError`.
+    A result the deadline already failed stays failed.
+    """
+
+    __slots__ = ("rpc", "src", "dst", "method", "payload", "request_size",
+                 "response_size", "result", "response")
+
+    def __init__(self, rpc: RpcLayer, src: str, dst: str, method: str,
+                 payload: Any, request_size: float, response_size: float,
+                 result: Event):
+        self.rpc = rpc
+        self.src = src
+        self.dst = dst
+        self.method = method
+        self.payload = payload
+        self.request_size = request_size
+        self.response_size = response_size
+        self.result = result
+        self.response: Any = None
+
+    def start(self, _: Any) -> None:
+        self._send(self.src, self.dst, self.request_size, self._on_request)
+
+    def _send(self, src: str, dst: str, size: float,
+              then: Callable[[Event], None]) -> None:
+        """Start one leg; ``then`` runs when it lands or dies."""
         try:
-            yield self.network.transfer(src, dst, request_size, category="control")
-            endpoint = self._endpoints.get(dst)
+            leg = self.rpc.network.transfer(src, dst, size,
+                                            category="control")
+        except Exception as exc:
+            self._fail(exc)
+            return
+        leg.callbacks.append(then)
+
+    def _on_request(self, leg: Event) -> None:
+        if not leg.ok:
+            self._fail(leg.value)
+            return
+        try:
+            endpoint = self.rpc._endpoints.get(self.dst)
             if endpoint is None:
-                raise RpcError(f"no API server on {dst!r}")
-            handler = endpoint.handler_for(method)
-            response = handler(payload)
+                raise RpcError(f"no API server on {self.dst!r}")
+            response = endpoint.handler_for(self.method)(self.payload)
             if isinstance(response, Generator):
-                response = yield self.env.process(response)
-            yield self.network.transfer(dst, src, response_size, category="control")
-        except NetworkError as exc:
-            if not result.triggered:  # a deadline may have fired first
-                result.fail(exc)
+                self.rpc.env.process(response).callbacks.append(
+                    self._on_handled)
+                return
+        except Exception as exc:
+            self._fail(exc)
             return
-        except Exception as exc:  # handler bug → remote error to caller
-            if not result.triggered:
-                result.fail(RpcError(f"{method}@{dst} raised: {exc!r}"))
-            return
-        if not result.triggered:
-            result.succeed(response)
+        self._respond(response)
+
+    def _on_handled(self, handler: Event) -> None:
+        if handler.ok:
+            self._respond(handler.value)
+        else:
+            self._fail(handler.value)
+
+    def _respond(self, response: Any) -> None:
+        self.response = response
+        self._send(self.dst, self.src, self.response_size, self._on_response)
+
+    def _on_response(self, leg: Event) -> None:
+        if not leg.ok:
+            self._fail(leg.value)
+        elif not self.result.triggered:
+            self.result.succeed(self.response)
+
+    def _fail(self, exc: Exception) -> None:
+        if not isinstance(exc, NetworkError):
+            key = (self.method, type(exc).__name__)
+            errors = self.rpc.handler_errors
+            errors[key] = errors.get(key, 0) + 1
+            exc = RpcError(f"{self.method}@{self.dst} raised: {exc!r}")
+        if not self.result.triggered:  # a deadline may have fired first
+            self.result.fail(exc)

@@ -9,6 +9,7 @@ above them: a :class:`FleetCollector` that walks a running
   campus),
 * gateway counters (forwards, relays, declines, gossip rounds,
   digest deliveries, reconciliation backlogs, admission headroom),
+* RPC handler exceptions, campus and WAN,
 * the credit ledger (balances, donations, relay fees),
 * WAN link bytes/utilization/liveness, and
 * tracer and kernel-profile summaries when attached
@@ -81,6 +82,7 @@ class FleetCollector:
         self._collect_nodes(reg)
         self._collect_campuses(reg)
         self._collect_federation(reg)
+        self._collect_rpc(reg)
         self._collect_wan(reg, now)
         self._collect_sharechain(reg)
         self._collect_qos(reg)
@@ -194,6 +196,20 @@ class FleetCollector:
         reg.counter("fleet_wan_bytes_total",
                     "Bytes carried across all WAN links").inc(
             self.deployment.wan_bytes())
+
+    def _collect_rpc(self, reg: MetricRegistry) -> None:
+        """Handler exceptions each RPC layer turned into remote errors
+        (every campus LAN's, and the WAN's)."""
+        errors = reg.counter("rpc_handler_errors_total",
+                             "RPC handler exceptions returned to the "
+                             "caller as remote errors, by method and "
+                             "exception type")
+        layers = [(handle.platform.rpc, {"layer": "campus", "site": site})
+                  for site, handle in self.deployment.sites.items()]
+        layers.append((self.deployment.wan_rpc, {"layer": "wan"}))
+        for rpc, labels in layers:
+            for (method, error), count in sorted(rpc.handler_errors.items()):
+                errors.inc(count, method=method, error=error, **labels)
 
     def _collect_sharechain(self, reg: MetricRegistry) -> None:
         """Share-chain verification families — registered only when at

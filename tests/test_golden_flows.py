@@ -578,3 +578,85 @@ def test_wan_migration_churn_trace_bit_identical(seed):
     reference = run_wan_migration_churn(ReferenceFlowNetwork, seed)
     optimized = run_wan_migration_churn(FlowNetwork, seed)
     assert optimized == reference
+
+
+# -- solo legs: control traffic on an otherwise idle LAN ---------------------
+
+from repro.observability import KernelProfile  # noqa: E402
+from repro.units import KIB  # noqa: E402
+
+
+def run_sparse_control(engine_cls, seed):
+    """RPC-sized legs with gaps that mostly drain the network between
+    them and sometimes overlap, plus same-host and zero-byte legs and
+    an occasional kill — the traffic the solo path carries.
+
+    Returns the trace, the engine's reallocation count, the kernel
+    profile and how many legs found the engine holding no flow.
+    """
+    profile = KernelProfile()
+    env = Environment(hooks=profile)
+    lan = CampusLAN(backbone_capacity=gbps(10), default_latency=0.0005)
+    hosts = [f"h{i}" for i in range(6)]
+    for i, name in enumerate(hosts):
+        lan.attach(name, access_capacity=gbps(1 + i % 2))
+    net = engine_cls(env, lan)
+    trace = []
+    net.add_observer(
+        lambda flow, delta: trace.append(("obs", env.now, flow.flow_id,
+                                          delta)))
+    rng = random.Random(seed)
+    idle_starts = []
+
+    def record(event):
+        if event.ok:
+            flow = event.value
+            trace.append(("done", env.now, flow.flow_id, flow.transferred))
+        else:
+            trace.append(("fail", env.now, str(event.value)))
+
+    def driver(env):
+        for _ in range(150):
+            src = rng.choice(hosts)
+            dst = src if rng.random() < 0.05 else rng.choice(
+                [host for host in hosts if host != src])
+            size = 0.0 if rng.random() < 0.05 else rng.choice(
+                (2 * KIB, 64 * KIB, rng.uniform(1, 20) * MIB))
+            idle_starts.append(not net.active_flows)
+            net.transfer(src, dst, size,
+                         category="control").callbacks.append(record)
+            if rng.random() < 0.1:
+                trace.append(("kill", env.now,
+                              net.kill_host_flows(rng.choice(hosts))))
+            # Mostly long enough to drain a leg, sometimes a burst.
+            yield env.timeout(rng.choice((0.0, 0.001, 0.05, 0.5, 2.0)))
+
+    env.process(driver(env))
+    env.run()
+    trace.append(("end", env.now, net.flows_completed))
+    return trace, net.reallocations, profile, sum(idle_starts)
+
+
+#: ``(reallocations, reallocated_flows, reallocated_links)`` that a
+#: KernelProfile recorded for :func:`run_sparse_control` on the
+#: general-path engine, before solo legs skipped the component
+#: machinery: the reallocate hook must see the same arguments.
+SPARSE_CONTROL_PROFILE = {
+    0: (253, 251, 965),
+    1: (269, 307, 1071),
+    2: (262, 229, 947),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPARSE_CONTROL_PROFILE))
+def test_sparse_control_legs_bit_identical_to_reference(seed):
+    reference, ref_reallocs, _, ref_idle = run_sparse_control(
+        ReferenceFlowNetwork, seed)
+    optimized, reallocs, profile, idle = run_sparse_control(
+        FlowNetwork, seed)
+    assert optimized == reference  # times, deltas, completions, kills
+    assert reallocs == ref_reallocs
+    assert idle == ref_idle
+    assert 0 < idle < 150  # solo starts and overlapping starts both occur
+    assert (profile.reallocations, profile.reallocated_flows,
+            profile.reallocated_links) == SPARSE_CONTROL_PROFILE[seed]

@@ -228,3 +228,143 @@ def test_call_timeout_costs_one_queue_entry():
         return profile.events_scheduled
 
     assert scheduled(60.0) == scheduled(None) + 1
+
+
+def _outcome(env, call):
+    """Run to the end; the call's value, or its exception's type and
+    message."""
+    env.run()
+    assert call.triggered
+    if call.ok:
+        return call.value
+    return type(call.value), str(call.value)
+
+
+def test_request_leg_killed_in_flight_passes_network_error_through(stack):
+    from repro.errors import NetworkError
+
+    env, lan, net, rpc = stack
+    handled = []
+    rpc.bind("agent1").register("status", handled.append)
+    call = rpc.call("coordinator", "agent1", "status", "q",
+                    request_size=gbps(1))  # one second on the wire
+    env.run(until=0.5)
+    assert net.kill_host_flows("agent1", reason="unplugged") == 1
+    kind, message = _outcome(env, call)
+    assert kind is NetworkError  # not wrapped in RpcError
+    assert "unplugged" in message
+    assert handled == []
+    assert rpc.handler_errors == {}
+
+
+def test_response_leg_killed_in_flight_passes_network_error_through(stack):
+    from repro.errors import NetworkError
+
+    env, lan, net, rpc = stack
+    handled = []
+    rpc.bind("agent1").register("status", handled.append)
+    call = rpc.call("coordinator", "agent1", "status", "q",
+                    response_size=gbps(1))
+    env.run(until=0.5)  # the request leg landed; the reply is on the wire
+    assert handled == ["q"]
+    assert net.kill_host_flows("coordinator", reason="caller gone") == 1
+    kind, message = _outcome(env, call)
+    assert kind is NetworkError
+    assert "caller gone" in message
+    assert rpc.handler_errors == {}
+
+
+def test_generator_handler_raising_is_wrapped_and_counted(stack):
+    env, lan, net, rpc = stack
+
+    def flaky(payload):
+        yield env.timeout(1.0)
+        raise ValueError("disk full")
+
+    rpc.bind("agent1").register("checkpoint", flaky)
+    call = rpc.call("coordinator", "agent1", "checkpoint")
+    kind, message = _outcome(env, call)
+    assert kind is RpcError
+    assert message == "checkpoint@agent1 raised: ValueError('disk full')"
+    assert rpc.handler_errors == {("checkpoint", "ValueError"): 1}
+
+
+def test_generator_handler_network_error_passes_through(stack):
+    from repro.errors import NetworkError
+
+    env, lan, net, rpc = stack
+
+    def forwards(payload):
+        yield env.timeout(1.0)
+        raise NetworkError("upstream unreachable")
+
+    rpc.bind("agent1").register("forward", forwards)
+    call = rpc.call("coordinator", "agent1", "forward")
+    kind, message = _outcome(env, call)
+    assert kind is NetworkError
+    assert message == "upstream unreachable"
+    assert rpc.handler_errors == {}  # a network fault, not a handler bug
+
+
+def test_plain_handler_errors_are_counted_by_method_and_type(stack):
+    env, lan, net, rpc = stack
+    endpoint = rpc.bind("agent1")
+
+    def broken(payload):
+        raise KeyError(payload)
+
+    endpoint.register("lookup", broken)
+    endpoint.register("ping", lambda n: n)
+    calls = [rpc.call("coordinator", "agent1", "lookup", key)
+             for key in ("a", "b")]
+    calls.append(rpc.call("coordinator", "agent1", "ping", 1))
+    rpc.call("coordinator", "agent1", "missing")  # RpcError: not a bug
+    env.run()
+    assert [call.ok for call in calls] == [False, False, True]
+    assert rpc.handler_errors == {("lookup", "KeyError"): 2}
+
+
+def test_late_outcomes_after_deadline_leave_the_timeout_standing(stack):
+    from repro.errors import RpcTimeoutError
+
+    env, lan, net, rpc = stack
+    endpoint = rpc.bind("agent1")
+
+    def slow(payload):
+        yield env.timeout(5.0)
+        return "late"
+
+    def slow_bug(payload):
+        yield env.timeout(5.0)
+        raise ValueError("late bug")
+
+    endpoint.register("slow", slow)
+    endpoint.register("slow-bug", slow_bug)
+    late_reply = rpc.call("coordinator", "agent1", "slow", timeout=1.0)
+    late_error = rpc.call("coordinator", "agent1", "slow-bug", timeout=1.0)
+    env.run()
+    assert env.now > 5.0  # both exchanges ran on after the deadline
+    for call in (late_reply, late_error):
+        assert isinstance(call.value, RpcTimeoutError)
+    assert rpc.handler_errors == {("slow-bug", "ValueError"): 1}
+
+
+def test_untimed_call_costs_six_queue_entries():
+    """Bootstrap, two leg wakes, two leg completions, the result: no
+    process, so no exit event that nobody waits on."""
+    from repro.observability import KernelProfile
+
+    profile = KernelProfile()
+    env = Environment(hooks=profile)
+    lan = CampusLAN(default_latency=0.001)
+    for host in ("coordinator", "agent1"):
+        lan.attach(host, access_capacity=gbps(1))
+    net = FlowNetwork(env, lan)
+    net.add_observer(lambda flow, delta: None)  # as every platform does
+    rpc = RpcLayer(env, net)
+    rpc.bind("agent1").register("ping", lambda n: n + 1)
+    call = rpc.call("coordinator", "agent1", "ping", 41)
+    env.run()
+    assert call.value == 42
+    assert profile.events_scheduled == 6
+    assert net.reallocations == 4

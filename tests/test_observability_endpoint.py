@@ -96,6 +96,36 @@ def test_gossip_families_count_rounds_deliveries_and_failures():
             gateway.digests_pushed + gateway.digest_push_failures)
 
 
+def test_rpc_handler_errors_reach_fleet_scrape():
+    """A raising handler fails its call with a remote error and is
+    counted, per layer, method and exception type."""
+    fed = FederatedDeployment(seed=9)
+    north = fed.add_campus("north")
+    fed.add_campus("south")
+    fed.connect("north", "south")
+    north.platform.add_provider("ws1", [RTX_3090], lab="vision")
+
+    def broken(payload):
+        raise ZeroDivisionError("bad ratio")
+
+    north.platform.rpc.bind("coordinator").register("probe", broken)
+    fed.wan_rpc.bind("south").register("probe", broken)
+    calls = [north.platform.rpc.call("ws1", "coordinator", "probe"),
+             north.platform.rpc.call("ws1", "coordinator", "probe"),
+             fed.wan_rpc.call("north", "south", "probe")]
+    fed.run(until=60.0)
+    assert not any(call.ok for call in calls)
+    reg = FleetCollector(fed).collect()
+    errors = reg.get("rpc_handler_errors_total")
+    assert errors.value(layer="campus", site="north", method="probe",
+                        error="ZeroDivisionError") == 2
+    assert errors.value(layer="wan", method="probe",
+                        error="ZeroDivisionError") == 1
+    assert len(errors.samples()) == 2  # no other handler raised
+    assert ('rpc_handler_errors_total{error="ZeroDivisionError",'
+            'layer="wan",method="probe"} 1.0') in FleetCollector(fed).expose()
+
+
 def test_node_exporters_cached_and_survive_departure():
     fed = build_fleet()
     collector = FleetCollector(fed)
