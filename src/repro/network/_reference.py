@@ -7,9 +7,10 @@ engine, preserved verbatim for two jobs:
   scenarios through this engine and the optimized
   :class:`~repro.network.flows.FlowNetwork` and requires bit-identical
   traces (event times, observer deltas, completion order).
-* **Perf baseline** — ``benchmarks/bench_perf_core.py`` measures the
-  churn microbench against both engines; the speedup recorded in
-  ``BENCH_perf.json`` is defined against this implementation.
+* **Perf baseline** — ``tools/perf_report.py`` runs the churn
+  microbench (``benchmarks/bench_perf_core.py``) on both engines; the
+  speedup it gates and records in ``BENCH_perf.json`` is defined
+  against this implementation.
 
 Three deliberate deviations from the seed implementation, mirrored in
 the optimized engine so traces stay comparable:

@@ -10,9 +10,10 @@ the disabled path stays a single ``is None`` test per event:
   This is the configuration every golden trace is pinned against.
 * :class:`NoopHooks` — every callback exists and does nothing.  The
   cost of *having* hooks attached: two method calls and two
-  ``perf_counter`` reads per dispatched event.  The perf-smoke gate
-  holds this under 3 % on the flow-churn microbench
-  (``tools/perf_report.py``, ``hooks_overhead`` in ``BENCH_perf.json``).
+  ``perf_counter`` reads per dispatched event.  ``tools/perf_report.py``
+  measures that cost per event on a dispatch microbench and gates it
+  under 3 % of the flow-churn microbench's wall-clock
+  (``hooks_overhead`` in ``BENCH_perf.json``).
 * :class:`KernelProfile` — aggregates dispatch counts, wall-clock,
   queue depths, and reallocation ripple sizes into plain counters and
   a :class:`~repro.monitoring.metrics.MetricRegistry` view, so engine

@@ -4,8 +4,8 @@
 mapping while serving a job-submission API (``POST /jobs`` with
 admission backpressure, ``GET``/``DELETE /jobs/<id>``) and the full
 observability surface (``/metrics``, ``/status``, ``/traces``) on one
-port.  ``tools/load_gen.py`` is the matching closed-loop load
-generator.
+port.  The repository benchmark's ``service-open-loop`` workload
+(``perfbench/service.py``) drives it with open- and closed-loop load.
 """
 
 from .server import SimulationServer, TERMINAL_STATUSES

@@ -200,6 +200,10 @@ def test_metrics_route(served):
     assert headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
     assert "# TYPE campus_jobs_running gauge" in body
     assert "# TYPE federation_forwarded_out_total counter" in body
+    for family in ("campus_gpu_utilization", "wan_link_up",
+                   "fleet_gpu_utilization", "gpu_utilization",
+                   "trace_orphan_spans"):
+        assert f"# TYPE {family} " in body, family
     assert 'site="north"' in body and 'site="south"' in body
     assert body.endswith("\n")
 

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Text dashboard over a federation run's fleet telemetry.
 
-Builds the relay-chaos demo federation (the same scenario the perf
-macrobench uses), runs it, and renders what a fleet operator would
-see: per-campus utilization and queue state, federation counters, WAN
-link health, reconciliation backlog, and — when tracing is on — span
-tree health per cross-site job.
+Compiles the benchmark's 4-campus federation scenario
+(``perfbench/federation_day.json``: provider churn, a flash crowd, a
+WAN outage, a gateway crash, multi-hop relays and share-chain
+verification) with tracing on, runs it, and renders what a fleet
+operator would see: per-campus utilization and queue state, federation
+counters, WAN link health, reconciliation backlog, and span tree
+health per cross-site job.
 
 Usage::
 
     PYTHONPATH=src python tools/fleet_report.py                # dashboard
+    PYTHONPATH=src python tools/fleet_report.py --hours 72     # whole run
     PYTHONPATH=src python tools/fleet_report.py --trace        # + spans
     PYTHONPATH=src python tools/fleet_report.py --serve        # + HTTP
     PYTHONPATH=src python tools/fleet_report.py --metrics      # raw scrape
@@ -24,27 +27,30 @@ finished run — handy for poking ``/metrics``, ``/status``, and
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+SCENARIO = REPO_ROOT / "perfbench" / "federation_day.json"
 
 
-def build_run(campuses: int, sim_hours: float, jobs: int, seed: int):
-    """Run the relay-chaos scenario and return the deployment.
+def build_run(seed: int, hours: float):
+    """Compile the scenario traced, run it ``hours`` simulated hours
+    (capped at its horizon) and return the deployment."""
+    from repro.scenarios import ScenarioSpec, compile_scenario
+    from repro.units import HOUR
 
-    ``bench_perf_core`` pulls a pytest helper from
-    ``benchmarks/conftest.py``, already on the path above.
-    """
-    from bench_perf_core import run_relay_chaos
-    result = run_relay_chaos(campuses=campuses, sim_hours=sim_hours,
-                             jobs=jobs, seed=seed, trace=True)
-    return result["deployment"], result
+    spec = ScenarioSpec.from_dict(json.loads(SCENARIO.read_text()))
+    compiled = compile_scenario(spec, seed=seed, trace=True)
+    compiled.deployment.run(until=min(hours * HOUR, compiled.horizon))
+    return compiled.deployment
 
 
-def render_dashboard(deployment, run_stats: dict, show_traces: bool) -> str:
+def render_dashboard(deployment, show_traces: bool) -> str:
     """The text dashboard: one screen of fleet state."""
     from repro.observability import FleetCollector
     from repro.units import HOUR
@@ -92,7 +98,7 @@ def render_dashboard(deployment, run_stats: dict, show_traces: bool) -> str:
     lines.append(f" reconciliation backlog: {backlog} "
                  f"({'clean' if backlog == 0 else 'open work'})  |  "
                  f"duplicate executions: "
-                 f"{run_stats.get('duplicate_executions', 0)}")
+                 f"{len(deployment.duplicate_executions())}")
 
     if "sharechain" in status:
         lines.append(thin)
@@ -167,10 +173,10 @@ def _render_tree_node(node: dict, indent: int) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--campuses", type=int, default=4)
-    parser.add_argument("--sim-hours", type=float, default=1.0)
-    parser.add_argument("--jobs", type=int, default=12)
-    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--hours", type=float, default=24.0,
+                        help="simulated hours to run (the scenario "
+                             "ends at 72)")
     parser.add_argument("--trace", action="store_true",
                         help="print span trees for cross-site jobs")
     parser.add_argument("--metrics", action="store_true",
@@ -182,19 +188,19 @@ def main(argv=None) -> int:
                         help="port for --serve (default: ephemeral)")
     args = parser.parse_args(argv)
 
-    print(f"[fleet] running relay-chaos: {args.campuses} campuses, "
-          f"{args.sim_hours} sim-hours, {args.jobs} jobs", flush=True)
-    deployment, stats = build_run(args.campuses, args.sim_hours, args.jobs,
-                                  args.seed)
-    print(f"[fleet] done in {stats['wall_seconds']}s wall "
-          f"({stats['events_per_sec']} events/s)\n", flush=True)
+    print(f"[fleet] running {SCENARIO.name}: seed {args.seed}, "
+          f"{args.hours} sim-hours", flush=True)
+    started = time.perf_counter()
+    deployment = build_run(args.seed, args.hours)
+    print(f"[fleet] done in {time.perf_counter() - started:.2f}s wall\n",
+          flush=True)
 
     from repro.observability import FleetCollector, StatusEndpoint
     collector = FleetCollector(deployment)
     if args.metrics:
         print(collector.expose())
     else:
-        print(render_dashboard(deployment, stats, show_traces=args.trace))
+        print(render_dashboard(deployment, show_traces=args.trace))
 
     if args.serve:
         endpoint = StatusEndpoint(collector, port=args.port)
@@ -202,7 +208,6 @@ def main(argv=None) -> int:
         print(f"\n[fleet] serving {url}/metrics  {url}/status  {url}/traces")
         print("[fleet] ctrl-c to stop")
         try:
-            import time
             while True:
                 time.sleep(3600)
         except KeyboardInterrupt:

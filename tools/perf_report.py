@@ -1,328 +1,212 @@
 #!/usr/bin/env python3
-"""Run the core perf suite and emit ``BENCH_perf.json``.
+"""Run the two wall-clock perf gates and write ``BENCH_perf.json``.
 
-The trajectory file every perf-focused PR is measured against:
-
-* **micro** — the flow-churn microbench (``benchmarks/bench_perf_core``)
-  run against both the optimized engine and the preserved reference
-  implementation, with the churn-phase speedup as the headline;
-* **macro** — the relay-chaos federation scenario on the optimized
-  engine (the reference is too slow to be worth timing end-to-end);
-* **wan_qos** — the WAN QoS saturation + link-flap scenario
-  (``benchmarks/bench_wan_qos``): strict-priority control latency,
-  in-flight flow migration, and the bulk autorate loop;
-* **byzantine_ledger** — one forging campus vs share-chain
-  verification: detection latency in gossip rounds and honest
-  throughput retention, gated deterministically.
+* **Churn speedup** — the flow-churn microbench
+  (``benchmarks/bench_perf_core``) at ``MICRO_QUICK`` scale on the
+  optimized engine and on the preserved reference engine, in the same
+  run on the same machine.  The churn-phase speedup must reach
+  :data:`CHURN_SPEEDUP_MIN`, and both engines must count the same
+  reallocations: the same simulated work, for less wall-clock.
+* **NoopHooks overhead** — the share of that optimized churn run's
+  wall-clock that attached-but-inert
+  :class:`~repro.observability.NoopHooks` would cost, which must stay
+  under :data:`HOOKS_SHARE_MAX`.  A whole churn run varies by far more
+  than 3 % between runs, so the per-event cost is measured on a
+  kernel-dispatch microbench instead (the minimum of many short,
+  interleaved repeats), with an A/A arm beside it as the noise floor,
+  and then scaled by the churn run's event count.  When that floor
+  itself reaches the bound, the gate is "unresolved" and fails.
 
 Usage::
 
-    PYTHONPATH=src python tools/perf_report.py            # full scale
-    PYTHONPATH=src python tools/perf_report.py --quick    # CI scale
-    PYTHONPATH=src python tools/perf_report.py --quick \
-        --out BENCH_perf.ci.json --check BENCH_perf.json  # regression gate
+    PYTHONPATH=src python tools/perf_report.py
 
-``--check BASELINE`` exits non-zero when the within-run churn speedup
-(optimized vs reference, measured on the *same* machine in the same
-run) collapses below half of the committed baseline's speedup — the
-CI perf-smoke gate.  Gating on the ratio rather than absolute
-wall-clock keeps the gate meaningful across machines of different
-speeds: raw seconds in the baseline are informational only.
-
-The same check also gates the observability layer's "near-zero when
-disabled" promise: attaching inert :class:`NoopHooks` to the kernel
-must cost under :data:`HOOKS_OVERHEAD_MAX` (3 %) on the churn
-microbench, measured as a best-of-N interleaved A/B within the run.
+Exits non-zero when any gate fails or is unresolved.  Wall-clock
+seconds in the report are informational; the gates are ratios within
+one run, so they hold across machines of different speeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform as host_platform
 import sys
 from pathlib import Path
+from time import perf_counter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-#: A run is a regression when the within-run churn speedup (optimized
-#: vs reference on the same machine) drops below the committed
-#: baseline's speedup divided by this factor.
-REGRESSION_FACTOR = 2.0
+#: The optimized engine's churn-phase speedup over the reference must
+#: reach this: half the 11.61x recorded when the gate was set.
+CHURN_SPEEDUP_MIN = 5.8
 
-#: Attaching :class:`~repro.observability.hooks.NoopHooks` must not
-#: slow the churn microbench by more than this fraction — the
-#: observability layer's "zero cost when disabled" promise, gated in
-#: the CI perf-smoke job.
-HOOKS_OVERHEAD_MAX = 0.03
+#: Attached :class:`NoopHooks` may cost at most this share of the
+#: churn run's wall-clock: the "zero cost when disabled" promise.
+HOOKS_SHARE_MAX = 0.03
 
-#: Repetitions for the hooks-overhead A/B; the minimum churn wall of
-#: each arm is compared, which strips scheduler noise far better than
-#: means at these sub-second scales.
-HOOKS_OVERHEAD_REPS = 3
+#: The dispatch microbench: processes that each wait on this many
+#: timeouts, so every dispatch is one schedule and one fire.
+DISPATCH_PROCESSES = 50
+DISPATCH_TICKS = 400
 
-#: Every honest site must quarantine the forging campus within this
-#: many gossip rounds (measured: 2; forged entries self-propagate at
-#: gossip cadence, so detection latency is machine-independent).
-BYZANTINE_DETECTION_ROUNDS_MAX = 10
-
-#: Quarantining one of three campuses may not cost honest throughput
-#: more than this (completed jobs, adversarial run vs honest baseline).
-BYZANTINE_RETENTION_MIN = 0.9
+#: Interleaved repeats per arm; each arm's minimum is kept.
+DISPATCH_REPEATS = 30
 
 
-def measure_hooks_overhead(micro_params: dict) -> dict:
-    """A/B the churn microbench: ``hooks=None`` vs ``NoopHooks``.
+def _ticker(env, index):
+    delay = 1.0 + (index % 7) * 0.1
+    for _ in range(DISPATCH_TICKS):
+        yield env.timeout(delay)
 
-    Returns both arms' best-of-N churn wall-clock and the relative
-    overhead of having inert hooks attached.
+
+def _dispatch_env(hooks):
+    from repro.sim import Environment
+
+    env = Environment(hooks=hooks)
+    for index in range(DISPATCH_PROCESSES):
+        env.process(_ticker(env, index))
+    return env
+
+
+def _dispatch_wall(hooks) -> float:
+    """Wall seconds to drain the dispatch microbench, collector paused
+    as :mod:`timeit` does."""
+    env = _dispatch_env(hooks)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        started = perf_counter()
+        env.run()
+        return perf_counter() - started
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def measure_dispatch_cost() -> dict:
+    """Per-event cost of attached ``NoopHooks`` (A/B) and of nothing
+    at all (A/A, two ``hooks=None`` arms), in seconds per event.
+
+    The three arms run interleaved, in reversed order on every other
+    repeat, so drift hits each arm alike; each keeps its minimum.
     """
-    from bench_perf_core import run_flow_churn
-    from repro.network import FlowNetwork
-    from repro.observability import NoopHooks
+    from repro.observability import KernelProfile, NoopHooks
 
-    base_walls, hooked_walls = [], []
-    for _ in range(HOOKS_OVERHEAD_REPS):
-        # Interleave the arms so drift (thermal, noisy neighbours)
-        # hits both equally.
-        base_walls.append(run_flow_churn(
-            FlowNetwork, **micro_params)["churn_wall_seconds"])
-        hooked_walls.append(run_flow_churn(
-            FlowNetwork, hooks=NoopHooks(), **micro_params)
-            ["churn_wall_seconds"])
-    base = min(base_walls)
-    hooked = min(hooked_walls)
-    overhead = (hooked - base) / base if base else 0.0
+    profile = KernelProfile()
+    _dispatch_env(profile).run()
+    events = profile.events_dispatched
+    arms = {"none_a": lambda: None, "noop": NoopHooks, "none_b": lambda: None}
+    best = {name: float("inf") for name in arms}
+    order = list(arms)
+    for _ in range(DISPATCH_REPEATS):
+        for name in order:
+            best[name] = min(best[name], _dispatch_wall(arms[name]()))
+        order.reverse()
     return {
-        "reps": HOOKS_OVERHEAD_REPS,
-        "disabled_churn_wall_seconds": base,
-        "noop_hooks_churn_wall_seconds": hooked,
-        "overhead_fraction": round(overhead, 4),
-        "gate_fraction": HOOKS_OVERHEAD_MAX,
+        "events": events,
+        "repeats": DISPATCH_REPEATS,
+        "none_wall_seconds": round(best["none_a"], 6),
+        "noop_wall_seconds": round(best["noop"], 6),
+        "per_event_seconds": round((best["noop"] - best["none_a"]) / events,
+                                   12),
+        "aa_per_event_seconds": round(
+            (best["none_b"] - best["none_a"]) / events, 12),
     }
 
 
-def run_suite(quick: bool) -> dict:
-    from bench_perf_core import (
-        MICRO_FULL,
-        MICRO_QUICK,
-        run_flow_churn,
-        run_relay_chaos,
-    )
+def hooks_verdict(share: float, floor: float) -> str:
+    """``"unresolved"`` when the A/A floor reaches the bound (the
+    measurement cannot tell 3 % from noise), else ``"pass"`` or
+    ``"fail"`` by the NoopHooks share."""
+    if floor >= HOOKS_SHARE_MAX:
+        return "unresolved"
+    return "pass" if share < HOOKS_SHARE_MAX else "fail"
+
+
+def speedup_verdict(speedup: float, reallocations: int,
+                    reference_reallocations: int) -> str:
+    """``"pass"`` when the engines did the same simulated work (equal
+    reallocation counts) and the speedup reaches the bound."""
+    if reallocations != reference_reallocations:
+        return "fail"
+    return "pass" if speedup >= CHURN_SPEEDUP_MIN else "fail"
+
+
+def run_gates() -> dict:
+    from bench_perf_core import MICRO_QUICK, run_flow_churn
     from repro.network import FlowNetwork
     from repro.network._reference import ReferenceFlowNetwork
 
-    micro_params = MICRO_QUICK if quick else MICRO_FULL
-    macro_params = (dict(campuses=4, sim_hours=1.0, jobs=12) if quick
-                    else dict(campuses=8, sim_hours=3.0, jobs=40))
-    print(f"[perf] flow churn ({'quick' if quick else 'full'}): "
-          f"{micro_params}", flush=True)
-    optimized = run_flow_churn(FlowNetwork, **micro_params)
-    print(f"[perf]   optimized: {optimized['churn_wall_seconds']}s churn, "
-          f"{optimized['events_per_sec']} events/s", flush=True)
-    reference = run_flow_churn(ReferenceFlowNetwork, **micro_params)
-    print(f"[perf]   reference: {reference['churn_wall_seconds']}s churn, "
-          f"{reference['events_per_sec']} events/s", flush=True)
+    print(f"[perf] flow churn: {MICRO_QUICK}", flush=True)
+    optimized = run_flow_churn(FlowNetwork, **MICRO_QUICK)
+    reference = run_flow_churn(ReferenceFlowNetwork, **MICRO_QUICK)
     speedup = round(reference["churn_wall_seconds"]
                     / optimized["churn_wall_seconds"], 2)
-    total_speedup = round(reference["total_wall_seconds"]
-                          / optimized["total_wall_seconds"], 2)
-    print(f"[perf]   churn speedup: {speedup}x (total {total_speedup}x)",
-          flush=True)
-    print(f"[perf] hooks overhead A/B ({HOOKS_OVERHEAD_REPS} reps): "
-          f"NoopHooks vs hooks=None", flush=True)
-    hooks_overhead = measure_hooks_overhead(micro_params)
-    print(f"[perf]   disabled "
-          f"{hooks_overhead['disabled_churn_wall_seconds']}s, NoopHooks "
-          f"{hooks_overhead['noop_hooks_churn_wall_seconds']}s -> "
-          f"{hooks_overhead['overhead_fraction'] * 100:.2f}% overhead "
-          f"(gate < {HOOKS_OVERHEAD_MAX * 100:.0f}%)", flush=True)
-    print(f"[perf] relay chaos macro: {macro_params}", flush=True)
-    macro = run_relay_chaos(**macro_params)
-    print(f"[perf]   {macro['wall_seconds']}s wall, "
-          f"{macro['events_per_sec']} events/s, "
-          f"{macro['reallocations_per_sec']} reallocations/s", flush=True)
-    from bench_wan_qos import WAN_QOS_FULL, WAN_QOS_QUICK, run_wan_qos
-    wan_qos_params = WAN_QOS_QUICK if quick else WAN_QOS_FULL
-    print(f"[perf] wan qos flap: {wan_qos_params}", flush=True)
-    wan_qos = run_wan_qos(**wan_qos_params)
-    print(f"[perf]   {wan_qos['wall_seconds']}s wall, "
-          f"{wan_qos['flows_migrated']} migrations, "
-          f"{wan_qos['autorate']['backoffs']} autorate backoffs, "
-          f"control mean latency {wan_qos['control_mean_latency']}s",
-          flush=True)
-    byz_params = dict(seed=42, days=0.5 if quick else 1.0)
-    print(f"[perf] byzantine ledger: {byz_params}", flush=True)
-    byzantine = run_byzantine_suite(**byz_params)
-    print(f"[perf]   detected by all: {byzantine['detected_by_all']}, "
-          f"slowest {byzantine['max_detection_rounds']} gossip rounds, "
-          f"retention {byzantine['throughput_retention']:.3f}", flush=True)
-    return {
-        "micro_flow_churn": {
-            "optimized": optimized,
-            "reference": reference,
-            "churn_speedup": speedup,
-            "total_speedup": total_speedup,
-        },
-        "hooks_overhead": hooks_overhead,
-        "macro_relay_chaos": macro,
-        "wan_qos": wan_qos,
-        "byzantine_ledger": byzantine,
+    churn = {
+        "optimized": optimized,
+        "reference": reference,
+        "churn_speedup": speedup,
+        "gate_min": CHURN_SPEEDUP_MIN,
+        "verdict": speedup_verdict(speedup, optimized["reallocations"],
+                                   reference["reallocations"]),
     }
+    print(f"[perf]   churn {optimized['churn_wall_seconds']}s optimized, "
+          f"{reference['churn_wall_seconds']}s reference -> {speedup}x "
+          f"(gate >= {CHURN_SPEEDUP_MIN}x); reallocations "
+          f"{optimized['reallocations']} vs {reference['reallocations']}: "
+          f"{churn['verdict']}", flush=True)
 
-
-def run_byzantine_suite(seed: int, days: float) -> dict:
-    """The Byzantine-robustness arm: one forging campus vs the
-    all-honest verification baseline, reduced to the gate-relevant
-    deterministic simulation results."""
-    from repro.experiments import run_byzantine_experiment
-
-    result = run_byzantine_experiment(seed=seed, days=days)
-    finite = result.detected_by_all
-    return {
-        "seed": seed,
-        "days": days,
-        "byzantine_site": result.byzantine_site,
-        "mode": result.mode,
-        "detected_by_all": finite,
-        "max_detection_rounds": (round(result.max_detection_rounds, 2)
-                                 if finite else None),
-        "detection_rounds": {site: round(rounds, 2) for site, rounds
-                             in sorted(result.detection_rounds.items())},
-        "throughput_retention": round(result.throughput_retention, 4),
-        "baseline_completed": result.baseline_completed,
-        "byzantine_completed": result.byzantine_completed,
-        "baseline_rejected_total": result.baseline_rejected_total,
-        "rejected_by_reason": result.rejected_by_reason,
-    }
-
-
-def check_regression(results: dict, baseline_path: Path, mode: str) -> int:
-    baseline = json.loads(baseline_path.read_text())
-    recorded = baseline.get("modes", {}).get(mode)
-    if recorded is None:
-        print(f"[perf] baseline {baseline_path} has no {mode!r} mode; "
-              "nothing to gate against")
-        return 0
-    before = recorded["micro_flow_churn"]["churn_speedup"]
-    after = results["micro_flow_churn"]["churn_speedup"]
-    gate = before / REGRESSION_FACTOR
-    print(f"[perf] churn speedup vs baseline: {after}x now, {before}x "
-          f"recorded (gate: >= {gate:.2f}x)")
-    if after < gate:
-        print("[perf] REGRESSION: the optimized engine's speedup over "
-              f"the reference collapsed from {before}x to {after}x")
-        return 1
-    overhead = results["hooks_overhead"]["overhead_fraction"]
-    print(f"[perf] NoopHooks overhead: {overhead * 100:.2f}% "
-          f"(gate: < {HOOKS_OVERHEAD_MAX * 100:.0f}%)")
-    if overhead >= HOOKS_OVERHEAD_MAX:
-        print("[perf] REGRESSION: attaching inert kernel hooks costs "
-              f"{overhead * 100:.2f}% on the churn microbench — the "
-              "hooks fast path is no longer near-free")
-        return 1
-    # WAN QoS invariants are simulation results, not wall-clock, so
-    # they gate deterministically regardless of machine speed.
-    wan_qos = results.get("wan_qos")
-    if wan_qos is not None:
-        pacer = wan_qos["autorate"]
-        print(f"[perf] wan qos: {wan_qos['bulk_completed']}/"
-              f"{wan_qos['bulk_transfers']} checkpoints survived the "
-              f"flap, {wan_qos['flows_migrated']} migrations, "
-              f"{pacer['backoffs']} backoffs")
-        if wan_qos["bulk_completed"] < wan_qos["bulk_transfers"]:
-            print("[perf] REGRESSION: bulk checkpoints died across the "
-                  "link flap instead of migrating")
-            return 1
-        if wan_qos["flows_migrated"] < 1:
-            print("[perf] REGRESSION: the flap rerouted zero in-flight "
-                  "flows — migration is not engaging")
-            return 1
-        if pacer["backoffs"] < 1 or pacer["engaged_at_end"]:
-            print("[perf] REGRESSION: the bulk autorate loop failed to "
-                  "engage under saturation (or failed to release after "
-                  "the burst drained)")
-            return 1
-        recorded_qos = recorded.get("wan_qos")
-        if recorded_qos is not None:
-            before_lat = recorded_qos["control_mean_latency"]
-            after_lat = wan_qos["control_mean_latency"]
-            print(f"[perf] wan qos control mean latency: {after_lat}s "
-                  f"now, {before_lat}s recorded (gate: <= 1.5x)")
-            if before_lat and after_lat > 1.5 * before_lat:
-                print("[perf] REGRESSION: strict-priority control "
-                      "latency degraded vs the committed baseline")
-                return 1
-    # Byzantine-ledger invariants are likewise pure simulation results
-    # and gate deterministically.
-    byzantine = results.get("byzantine_ledger")
-    if byzantine is not None:
-        rounds = byzantine["max_detection_rounds"]
-        retention = byzantine["throughput_retention"]
-        print(f"[perf] byzantine ledger: detected by all "
-              f"{byzantine['detected_by_all']}, slowest {rounds} rounds "
-              f"(gate: <= {BYZANTINE_DETECTION_ROUNDS_MAX}), retention "
-              f"{retention} (gate: >= {BYZANTINE_RETENTION_MIN})")
-        if not byzantine["detected_by_all"]:
-            print("[perf] REGRESSION: an honest site never quarantined "
-                  "the forging campus")
-            return 1
-        if rounds > BYZANTINE_DETECTION_ROUNDS_MAX:
-            print("[perf] REGRESSION: Byzantine detection latency "
-                  f"degraded to {rounds} gossip rounds")
-            return 1
-        if retention < BYZANTINE_RETENTION_MIN:
-            print("[perf] REGRESSION: quarantining the adversary cost "
-                  f"{(1 - retention) * 100:.1f}% of honest throughput")
-            return 1
-        if byzantine["baseline_rejected_total"] != 0:
-            print("[perf] REGRESSION: the all-honest verification "
-                  "baseline rejected "
-                  f"{byzantine['baseline_rejected_total']} entries — "
-                  "verification has false positives")
-            return 1
-    return 0
+    cost = measure_dispatch_cost()
+    # Hooks run once per kernel step and once per reallocation.
+    events_per_second = ((optimized["churn_steps"]
+                          + optimized["reallocations"])
+                         / optimized["churn_wall_seconds"])
+    share = cost["per_event_seconds"] * events_per_second
+    floor = abs(cost["aa_per_event_seconds"]) * events_per_second
+    hooks = dict(cost, share=round(share, 6), aa_floor=round(floor, 6),
+                 gate_max=HOOKS_SHARE_MAX,
+                 verdict=hooks_verdict(share, floor))
+    print(f"[perf]   NoopHooks {cost['per_event_seconds'] * 1e9:.0f} ns/event "
+          f"(A/A {cost['aa_per_event_seconds'] * 1e9:.0f} ns) over "
+          f"{cost['events']} dispatches -> {share * 100:.3f}% of the churn "
+          f"wall, A/A floor {floor * 100:.3f}% (gate < "
+          f"{HOOKS_SHARE_MAX * 100:.0f}%): {hooks['verdict']}", flush=True)
+    return {"flow_churn": churn, "hooks_overhead": hooks}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="run the scaled-down CI scenario")
     parser.add_argument("--out", type=Path, default=Path("BENCH_perf.json"),
                         help="where to write the report")
-    parser.add_argument("--check", type=Path, default=None, metavar="BASELINE",
-                        help="compare against a committed BENCH_perf.json "
-                             "and fail on a >2x churn regression")
     args = parser.parse_args(argv)
-    mode = "quick" if args.quick else "full"
-    results = run_suite(quick=args.quick)
-    # Host metadata lives per mode: a merged file can carry modes
-    # recorded on different machines, and each must say whose numbers
-    # it holds.
-    results["host"] = {
-        "python": host_platform.python_version(),
-        "machine": host_platform.machine(),
-    }
     report = {
         "bench": "perf_core",
-        "schema": 1,
-        "modes": {mode: results},
+        "schema": 2,
+        "host": {"python": host_platform.python_version(),
+                 "machine": host_platform.machine()},
     }
-    # Preserve the other mode's numbers when updating a combined file.
-    if args.out.exists():
-        try:
-            previous = json.loads(args.out.read_text())
-            for name, recorded in previous.get("modes", {}).items():
-                report["modes"].setdefault(name, recorded)
-        except (ValueError, KeyError):
-            pass
+    report.update(run_gates())
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[perf] wrote {args.out}")
-    if args.check is not None:
-        return check_regression(results, args.check, mode)
-    return 0
+    status = 0
+    if report["flow_churn"]["verdict"] != "pass":
+        print("[perf] FAIL: the optimized engine's churn speedup or its "
+              "reallocation count no longer matches the gate")
+        status = 1
+    verdict = report["hooks_overhead"]["verdict"]
+    if verdict == "unresolved":
+        print("[perf] UNRESOLVED: the A/A noise floor reaches the NoopHooks "
+              "bound, so this host cannot tell the overhead from noise")
+        status = 1
+    elif verdict == "fail":
+        print("[perf] FAIL: attached NoopHooks cost "
+              f"{HOOKS_SHARE_MAX * 100:.0f}% or more of the churn wall")
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
