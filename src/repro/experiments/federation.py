@@ -266,7 +266,7 @@ def run_federation(
     # count each only once, at its origin.
     federated_completed -= sum(
         1 for handle in fed.sites.values()
-        for record in handle.gateway.records.values()
+        for record in handle.gateway.forward.records.values()
         if record.out is not None and record.out.completed_at is not None
     )
     return FederationResult(

@@ -3,11 +3,11 @@
 An honest :class:`~repro.federation.gateway.FederationGateway` carries
 no misbehavior of its own.  Fault injection attaches a
 :class:`ByzantineAdversary` to a gateway when a Byzantine window opens
-(see :mod:`repro.federation.faults`), and the gateway consults it at
-four seams only: the capacity digest it advertises, the chain delta it
-gossips, the chain copy of a settlement it records, and the restart of
-its loops after a crash.  Local admission never asks the adversary, so
-a lying site still accepts only work it can run.
+(see :mod:`repro.federation.faults`).  The gateway's gossip consults
+it at three seams only: the capacity digest it advertises, the chain
+delta it gossips, and the chain copy of a settlement it records; the
+gateway resumes its forging loop after a crash.  Local admission never
+asks the adversary, so a lying site still accepts only work it can run.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ByzantineAdversary:
         self._proc: Optional[Process] = None
         self._seq = 0
         gateway.adversary = self
-        gateway.note_change()  # gossip ticks every tick from now on
+        gateway.gossip.note_change()  # gossip ticks every tick from now on
 
     def set(self, mode: str) -> None:
         """Begin one misbehavior mode."""
@@ -161,11 +161,10 @@ class ByzantineAdversary:
         """
         gateway = self.gateway
         if (gateway.sharechain is not None and not gateway.is_crashed
-                and (self._proc not in gateway._procs
-                     or not self._proc.is_alive)
+                and not gateway.running(self._proc)
                 and self.modes & CHAIN_VISIBLE_MODES):
-            self._proc = gateway._spawn(self._forge_loop(),
-                                        f"byzantine:{gateway.site}")
+            self._proc = gateway.spawn(self._forge_loop(),
+                                       f"byzantine:{gateway.site}")
 
     def _forge_loop(self) -> Generator:
         """Fabricate chain entries while a forging mode is active.
@@ -185,7 +184,7 @@ class ByzantineAdversary:
             active = self.modes & CHAIN_VISIBLE_MODES
             if not active:
                 return  # every forging window closed
-            peers = sorted(gateway.peers)
+            peers = sorted(gateway.gossip.peers)
             chain = gateway.sharechain
             if not peers or chain is None:
                 continue

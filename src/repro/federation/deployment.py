@@ -182,8 +182,8 @@ class FederatedDeployment:
         """Join two campuses with a symmetric WAN link pair."""
         self.wan.connect(a, b, capacity=capacity, latency=latency)
         for name in (a, b):
-            if name in self.sites:
-                self.sites[name].gateway.note_change()  # a new peer is due
+            if name in self.sites:  # a new peer is due
+                self.sites[name].gateway.gossip.note_change()
 
     def enable_bulk_autorate(
         self,
@@ -390,12 +390,13 @@ class FederatedDeployment:
 
     def total_forwarded(self) -> int:
         """Jobs that crossed the WAN, federation-wide."""
-        return sum(h.gateway.forwarded_out for h in self.sites.values())
+        return sum(h.gateway.forward.forwarded_out
+                   for h in self.sites.values())
 
     def total_relayed(self) -> int:
         """Forwards that were *relay* hops (a site re-forwarding a
         foreign job it could not place), federation-wide."""
-        return sum(h.gateway.relayed_out for h in self.sites.values())
+        return sum(h.gateway.forward.relayed_out for h in self.sites.values())
 
     def relay_fees(self) -> Dict[str, float]:
         """GPU-hour relay fees each site has earned from the ledger."""
@@ -404,7 +405,7 @@ class FederatedDeployment:
 
     def total_wan_transfer_seconds(self) -> float:
         """Simulated seconds origin gateways spent on WAN replication."""
-        return sum(h.gateway.wan_transfer_seconds
+        return sum(h.gateway.forward.wan_transfer_seconds
                    for h in self.sites.values())
 
     def credit_balances(self) -> Dict[str, float]:
@@ -453,6 +454,9 @@ class FederatedDeployment:
           ``job-submitted`` is still in that coordinator's book;
         * ledger conservation — credit balances sum to zero;
         * orphan-free traces — every recorded span's parent exists;
+        * loop liveness — every gateway that is up runs exactly one
+          gossip and one reconcile loop (a dead one is named with the
+          exception that ended it);
         * with share-chain verification on, per verifying site:
           quarantine purge (no blocked signer's entries survive) and
           view conservation (the verified view sums to zero);
@@ -490,6 +494,9 @@ class FederatedDeployment:
                 violations.append(
                     f"orphan-free-traces: {len(orphans)} span(s) reference "
                     f"a parent that was never recorded")
+        for name, handle in sorted(self.sites.items()):
+            violations.extend(f"loop-liveness: site {name}'s {fault}"
+                              for fault in handle.gateway.loop_faults())
         verifying = {name: handle.gateway
                      for name, handle in sorted(self.sites.items())
                      if handle.gateway.sharechain is not None}

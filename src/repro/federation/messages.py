@@ -202,7 +202,7 @@ class ForwardRecord:
     each hop records only its *own* outgoing leg, so probes, cancels,
     and completion notices all travel hop by hop.  The leg starts at
     the offer: in :data:`JOURNAL_STATES` it is the write-ahead journal
-    a restarted gateway classifies (see ``FederationGateway._recover``).
+    a restarted gateway classifies (see ``ForwardProtocol.recover``).
     """
 
     job_id: str

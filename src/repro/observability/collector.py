@@ -168,14 +168,15 @@ class FleetCollector:
         ledger = self.deployment.ledger
         for site, handle in self.deployment.sites.items():
             gateway = handle.gateway
-            fwd_out.inc(gateway.forwarded_out, site=site)
-            fwd_in.inc(gateway.forwarded_in, site=site)
-            relayed.inc(gateway.relayed_out, site=site)
-            declined.inc(gateway.declined, site=site)
-            gossip.inc(gateway.gossip_rounds, site=site)
-            pushed.inc(gateway.digests_pushed, site=site)
-            push_failed.inc(gateway.digest_push_failures, site=site)
-            transfer.inc(gateway.wan_transfer_seconds, site=site)
+            forward = gateway.forward
+            fwd_out.inc(forward.forwarded_out, site=site)
+            fwd_in.inc(forward.forwarded_in, site=site)
+            relayed.inc(forward.relayed_out, site=site)
+            declined.inc(forward.declined, site=site)
+            gossip.inc(gateway.gossip.gossip_rounds, site=site)
+            pushed.inc(gateway.gossip.digests_pushed, site=site)
+            push_failed.inc(gateway.gossip.digest_push_failures, site=site)
+            transfer.inc(forward.wan_transfer_seconds, site=site)
             hosted.set(gateway.hosted_foreign_count, site=site)
             unresolved.set(gateway.unresolved_delegations, site=site)
             cancels.set(gateway.pending_cancel_count, site=site)
@@ -333,10 +334,10 @@ class FleetCollector:
                 "parked": coordinator.parked_count,
                 "gpu_utilization": round(
                     handle.platform.fleet_utilization(), 4),
-                "forwarded_out": gateway.forwarded_out,
-                "forwarded_in": gateway.forwarded_in,
-                "relayed_out": gateway.relayed_out,
-                "declined": gateway.declined,
+                "forwarded_out": gateway.forward.forwarded_out,
+                "forwarded_in": gateway.forward.forwarded_in,
+                "relayed_out": gateway.forward.relayed_out,
+                "declined": gateway.forward.declined,
                 "hosted_foreign": gateway.hosted_foreign_count,
                 "unresolved_delegations": gateway.unresolved_delegations,
                 "pending_cancels": gateway.pending_cancel_count,

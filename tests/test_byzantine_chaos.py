@@ -32,6 +32,7 @@ chain-visible detection included, are the deployment's own
 
 import pytest
 
+import handler_errors
 from repro.federation import (
     FaultSchedule,
     FaultWindow,
@@ -193,6 +194,7 @@ def test_no_honest_job_lost(chaos):
         assert counts.get(job.job_id) == 1
     assert fed.unresolved_count() == 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
 
 
 def test_conservation_and_trace_hygiene(chaos):
@@ -201,6 +203,7 @@ def test_conservation_and_trace_hygiene(chaos):
     site than it truly earned; span trees stay parented."""
     mode, fed, _jobs = chaos
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     for site in _detectors(mode):
         chain = fed.site(site).gateway.sharechain
         assert (chain.view.balance(BYZ)

@@ -24,6 +24,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import handler_errors
 from repro.agent import BehaviorProfile
 from repro.core.failover import FailoverConfig
 from repro.errors import SnapshotVersionError
@@ -37,7 +38,7 @@ from repro.federation import (
     GatewaySnapshot,
     HostingState,
 )
-from repro.federation.gateway import _advance
+from repro.federation.forward import _advance
 from repro.gpu.specs import RTX_3090, RTX_4090
 from repro.units import HOUR, MINUTE
 from repro.workloads.models import RESNET50
@@ -81,7 +82,7 @@ def _completions(fed, job_id):
 
 def _out_phase(gateway, job_id):
     """The phase of the job's sender leg at ``gateway`` (None: no leg)."""
-    record = gateway.records.get(job_id)
+    record = gateway.forward.records.get(job_id)
     return record.out.state if record is not None and record.out else None
 
 
@@ -104,6 +105,7 @@ def _assert_invariants(fed, jobs):
         assert _completions(fed, job.job_id) == 1, job.job_id
     assert fed.unresolved_count() == 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
 
 
 # -- the phase matrix: kill a gateway at every protocol phase ---------------
@@ -137,20 +139,22 @@ def test_gateway_crash_at_every_protocol_phase(phase, seed):
     elif phase == "commit":
         # The host is mid-commit (payload pull running).
         target, downtime = host, 120.0
-        cond = lambda: host._inbound(job_id, HostingState.COMMITTING)
+        cond = lambda: host.forward._inbound(job_id, HostingState.COMMITTING)
     elif phase == "completion-notice":
         # Sever the WAN so the completion notice parks unacked, then
         # kill the host holding it.
         target, downtime = host, 120.0
-        _run_until(fed, lambda: host._inbound(job_id, HostingState.HOSTED),
+        _run_until(fed,
+                   lambda: host.forward._inbound(job_id, HostingState.HOSTED),
                    step=1.0, limit=4 * HOUR)
         fed.sever("north", "south")
-        cond = lambda: getattr(host.records.get(job_id), "notice", None)
+        cond = lambda: getattr(host.forward.records.get(job_id), "notice",
+                               None)
     else:  # settle
         # The foreign job is running; the gateway dies and stays dead
         # across the completion, so settlement happens in recovery.
         target, downtime = host, 2 * HOUR
-        cond = (lambda: host._inbound(job_id, HostingState.HOSTED)
+        cond = (lambda: host.forward._inbound(job_id, HostingState.HOSTED)
                 and south.coordinator.jobs.get(job_id) is not None
                 and south.coordinator.jobs[job_id].status
                 is JobStatus.RUNNING)
@@ -182,7 +186,7 @@ def test_phase1_crash_requeues_from_the_intent_journal():
     fed.run(until=fed.env.now + 60)
     origin.restart()
     assert north.platform.events.count("job-forward-requeued") == 1
-    assert origin._delegation(victim.job_id) is None
+    assert origin.forward.delegation(victim.job_id) is None
     fed.run(until=36 * HOUR)
     _assert_invariants(fed, [blocker, victim])
 
@@ -200,7 +204,7 @@ def test_phase2_crash_parks_unknown_and_probes():
     fed.run(until=fed.env.now + 60)
     origin.restart()
     assert north.platform.events.count("job-forward-unknown") == 1
-    record = origin._delegation(victim.job_id)
+    record = origin.forward.delegation(victim.job_id)
     assert record.state is DelegationState.UNKNOWN
     assert record.claim_token
     fed.run(until=36 * HOUR)
@@ -225,7 +229,7 @@ def test_coordinator_death_in_claim_commit_window(side, point):
     else:
         # The host accepted the commit and is importing; the ack has
         # not reached the origin yet.
-        cond = lambda: south.gateway._inbound(victim.job_id,
+        cond = lambda: south.gateway.forward._inbound(victim.job_id,
                                               HostingState.COMMITTING)
     _run_until(fed, cond, step=0.01, limit=2 * HOUR)
     ha = fed.failover[side]
@@ -247,18 +251,45 @@ def test_snapshot_roundtrip_with_empty_books():
     fed.run(until=300)
     gateway = north.gateway
     assert gateway.vault.writes >= 1
-    seq_before = gateway._token_seq
+    seq_before = gateway.forward._token_seq
     gateway.crash()
     fed.run(until=fed.env.now + 60)
     gateway.restart()
     assert gateway.restarts == 1
-    assert gateway._token_seq == seq_before
+    assert gateway.forward._token_seq == seq_before
     assert all(balance == 0.0 for balance in fed.ledger.balances().values())
     assert fed.ledger.total() == 0.0
     blocker, victim = _forced_forward(fed, north)
     fed.run(until=24 * HOUR)
-    assert north.gateway.forwarded_out == 1
+    assert north.gateway.forward.forwarded_out == 1
     _assert_invariants(fed, [blocker, victim])
+
+
+def test_same_instant_restart_mid_round_leaves_one_loop_each():
+    """A crash and restart in one instant, taken while the gossip round
+    waits on a push: the old loops die, exactly one gossip and one
+    reconcile loop run on, and the new gossip loop still pushes."""
+    fed, north, south = _pair(seed=5)
+    gateway = north.gateway
+    gossip = gateway.gossip
+    while gossip._wake is None or not gossip._wake.processed:
+        fed.env.step()  # to the instant the first round starts pushing
+    old = (gossip.loop, gateway.forward.loop)
+    gateway.crash()
+    gateway.restart()
+    assert all(loop.is_alive for loop in old)  # interrupts still queued
+    assert gateway.loop_faults() == []
+    fed.run(until=fed.env.now)
+    assert not any(loop.is_alive for loop in old)
+    assert gateway.loop_faults() == []
+    pushed = gossip.digests_pushed
+    fed.run(until=fed.env.now + 600)
+    assert gossip.digests_pushed > pushed
+    assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
+    # A second copy of a loop is a fault too.
+    gateway.spawn(gossip._loop(), gossip.loop.name)
+    assert gateway.loop_faults() == ["loop gossip:north runs 2 times"]
 
 
 def test_snapshot_roundtrip_preserves_inflight_relay_fees():
@@ -284,29 +315,30 @@ def test_snapshot_roundtrip_preserves_inflight_relay_fees():
     surplus = alpha.platform.submit_job(_job(compute=1 * HOUR))
     fed.run(until=101)
     home = bravo.platform.submit_job(_job(compute=4 * HOUR))
-    _run_until(fed, lambda: charlie.gateway._inbound(surplus.job_id,
+    _run_until(fed, lambda: charlie.gateway.forward._inbound(surplus.job_id,
                                                      HostingState.HOSTED),
                step=10.0, limit=6 * HOUR)
-    assert bravo.gateway.relayed_out == 1
+    assert bravo.gateway.forward.relayed_out == 1
     # The relay holds both legs of the job: the settled inbound one and
     # the committed onward one.
-    relayed = bravo.gateway.records[surplus.job_id]
+    relayed = bravo.gateway.forward.records[surplus.job_id]
     assert relayed.host.state is HostingState.SETTLED
     assert relayed.out.state is DelegationState.COMMITTED
     before = {job_id: (replace(record.out) if record.out else None,
                        replace(record.host) if record.host else None,
                        record.notice)
-              for job_id, record in bravo.gateway.records.items()}
+              for job_id, record in bravo.gateway.forward.records.items()}
     # The relay's table dies with it...
     bravo.gateway.crash()
     fed.run(until=fed.env.now + 5 * MINUTE)
     bravo.gateway.restart()
     # ...and comes back: the onward delegation record still exists, and
     # every leg and notice equals its pre-crash value.
-    assert bravo.gateway._delegation(surplus.job_id) is not None
+    assert bravo.gateway.forward.delegation(surplus.job_id) is not None
     assert {job_id: (record.out, record.host, record.notice)
-            for job_id, record in bravo.gateway.records.items()} == before
-    assert bravo.gateway.relayed_out == 1
+            for job_id, record
+            in bravo.gateway.forward.records.items()} == before
+    assert bravo.gateway.forward.relayed_out == 1
     fed.run(until=24 * HOUR)
     fee = 1.0 * fed.federation_config.relay_fee_fraction
     assert fed.ledger.relay_fees_earned("bravo") == pytest.approx(fee)
@@ -323,12 +355,12 @@ def test_same_instant_crash_and_restart_mid_commit_keeps_digest_honest():
     fed, north, south = _pair(seed=7)
     blocker, victim = _forced_forward(fed, north)
     host = south.gateway
-    _run_until(fed, lambda: host._inbound(victim.job_id,
+    _run_until(fed, lambda: host.forward._inbound(victim.job_id,
                                           HostingState.COMMITTING),
                step=0.01, limit=2 * HOUR)
     # A snapshot taken mid-pull, as any other job's protocol step would
     # write one: the restart must not resurrect the killed pull.
-    host._checkpoint()
+    host.forward.checkpoint()
     host.crash()
     host.restart()
     fed.run(until=fed.env.now + 60)
@@ -378,6 +410,7 @@ def test_snapshot_roundtrip_preserves_pending_cross_wan_cancel():
     assert south.platform.events.count("foreign-job-cancelled") == 1
     assert fed.unresolved_count() == 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     assert blocker.status is JobStatus.COMPLETED
 
 
@@ -505,19 +538,21 @@ def test_chaos_exactly_once_and_nothing_lost(chaos):
         assert job.status is JobStatus.COMPLETED
         assert completions.get(job.job_id, 0) == 1, job.job_id
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
 
 
 def test_chaos_reconciliation_drains_and_ledger_conserves(chaos):
     fed, jobs, _, _ = chaos
     assert fed.unresolved_count() == 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     for handle in fed.sites.values():
         assert handle.gateway.unresolved_delegations == 0
         assert handle.gateway.unacked_completion_count == 0
         assert not any(
             _out_phase(handle.gateway, job_id) in (DelegationState.OFFERED,
                                                    DelegationState.CLAIMED)
-            for job_id in handle.gateway.records)
+            for job_id in handle.gateway.forward.records)
 
 
 def test_chaos_traces_stay_orphan_free(chaos):
@@ -527,6 +562,7 @@ def test_chaos_traces_stay_orphan_free(chaos):
     fed, jobs, _, _ = chaos
     tracer = fed.tracer
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     for trace_id in tracer.trace_ids():
         assert tracer.orphans(trace_id) == []
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import handler_errors
 import test_byzantine_chaos
 import test_control_plane_chaos
 import test_scenarios_runner
@@ -86,6 +87,7 @@ def test_federation_day_digest():
     compiled.deployment.run(until=52 * HOUR)
     assert event_log_digest(compiled.deployment) == FEDERATION_DAY
     assert compiled.deployment.audit() == []
+    assert handler_errors.unexpected(compiled.deployment) == {}
 
 
 def test_chaos_scenario_with_forger_digest():
@@ -97,6 +99,7 @@ def test_chaos_scenario_with_forger_digest():
     compiled.run()
     assert event_log_digest(compiled.deployment) == CHAOS_WITH_FORGER
     assert compiled.deployment.audit() == []
+    assert handler_errors.unexpected(compiled.deployment) == {}
 
 
 def test_control_plane_chaos_digest():

@@ -154,8 +154,8 @@ def test_forwarding_when_local_queue_saturated():
     ]
     fed.run(until=12 * HOUR)
     assert all(job.is_done for job in jobs)
-    assert north.gateway.forwarded_out == 3
-    assert south.gateway.forwarded_in == 3
+    assert north.gateway.forward.forwarded_out == 3
+    assert south.gateway.forward.forwarded_in == 3
     # Provenance: the host coordinator knows where the work came from.
     arrivals = south.platform.events.of_kind("job-forwarded-in")
     assert {event.payload["origin"] for event in arrivals} == {"north"}
@@ -180,7 +180,7 @@ def test_forwarding_when_no_local_gpu_passes_filters():
     fed.run(until=12 * HOUR)
     assert job.is_done
     assert job.status is JobStatus.COMPLETED
-    assert north.gateway.forwarded_out == 1
+    assert north.gateway.forward.forwarded_out == 1
     assert south.coordinator.jobs[job.job_id].is_done
 
 
@@ -203,9 +203,9 @@ def test_peer_declines_when_saturated_and_job_stays_local():
     # North offered its surplus job on the stale digest; south's live
     # admission check refused, and the job ran at home once the local
     # card freed up (the huge backoff forbids a second offer).
-    assert north.gateway.declined >= 1
+    assert north.gateway.forward.declined >= 1
     assert north.platform.events.count("job-forward-declined") >= 1
-    assert south.gateway.forwarded_in == 0
+    assert south.gateway.forward.forwarded_in == 0
     assert all(job.is_done for job in north_jobs + south_jobs)
     assert fed.ledger.total() == pytest.approx(0.0)
     assert len(fed.ledger.entries) == 0
@@ -260,10 +260,10 @@ def test_foreign_jobs_are_never_reforwarded():
         for _ in range(2)
     ]
     fed.run(until=1 * HOUR)
-    assert south.gateway.forwarded_in == 1
+    assert south.gateway.forward.forwarded_in == 1
     south.platform.agents["s-farm"].emergency_departure()
     fed.run(until=2 * HOUR)
-    assert south.gateway.forwarded_out == 0
+    assert south.gateway.forward.forwarded_out == 0
     assert len(south.coordinator.jobs) == 1
     # The foreign job waits parked at south for capacity to return.
     assert south.coordinator.queue_pressure >= 1
@@ -346,18 +346,18 @@ def test_unclaimed_offer_lease_expires_once_and_frees_the_card():
     assert reply["accepted"] is True
     granted_at = fed.env.now - 5
     # The lease reserves south's only card: no second booking.
-    assert not south.gateway.accepts(spec)
+    assert not south.gateway.forward.accepts(spec)
     assert south.gateway.local_digest().free_gpus == 0
 
     lease = south.gateway.config.offer_lease_timeout
     fed.run(until=granted_at + lease - 1)
     assert south.platform.events.count("forward-lease-expired") == 0
-    assert not south.gateway.accepts(spec)
+    assert not south.gateway.forward.accepts(spec)
     fed.run(until=granted_at + lease + 1)
     expired = south.platform.events.of_kind("forward-lease-expired")
     assert [(e.payload["job_id"], e.payload["origin"]) for e in expired] == [
         (spec.job_id, "north")]
-    assert south.gateway.accepts(spec)
+    assert south.gateway.forward.accepts(spec)
     assert south.gateway.local_digest().free_gpus == 1
 
     # A commit arriving after the lease lapsed is refused cleanly ...
@@ -390,7 +390,7 @@ def test_cross_wan_cancel_terminates_delegated_job_at_host():
     ]
     fed.run(until=800)  # one job delegated to south, still running there
     delegated = next(j for j in jobs
-                     if north.gateway._delegation(j.job_id) is not None)
+                     if north.gateway.forward.delegation(j.job_id) is not None)
     north.coordinator.cancel_job(delegated.job_id)
     assert delegated.status is JobStatus.CANCELLED
     fed.run(until=12 * HOUR)
@@ -404,7 +404,7 @@ def test_cross_wan_cancel_terminates_delegated_job_at_host():
     assert north.platform.events.count("job-cancel-delivered") == 1
     assert north.platform.events.count("job-cancel-lost-race") == 0
     assert north.gateway.pending_cancel_count == 0
-    record = north.gateway._delegation(delegated.job_id)
+    record = north.gateway.forward.delegation(delegated.job_id)
     assert record.state is DelegationState.CANCELLED
     assert south.gateway.hosted_foreign_count == 0
     # The GPU-hours south actually burned before the cancel are billed.

@@ -8,6 +8,7 @@ and no completion notice is permanently lost.
 
 import pytest
 
+import handler_errors
 from repro.errors import WanPartitionError
 from repro.federation import (
     DelegationState,
@@ -67,7 +68,7 @@ def test_sever_during_checkpoint_replication_requeues_safely():
     # the WAN with its snapshot...
     north.platform.agents["n-ws1"].emergency_departure()
     # ...and the link dies mid-replication (during the commit pull).
-    _run_until(fed, lambda: south.gateway._inbound(job.job_id,
+    _run_until(fed, lambda: south.gateway.forward._inbound(job.job_id,
                                                    HostingState.COMMITTING),
                step=1.0, limit=3 * HOUR)
     fed.sever("north", "south")
@@ -105,13 +106,13 @@ def test_sever_between_commit_and_ack_never_duplicates():
     # in flight back to the origin.
     _run_until(fed, lambda: victim.job_id in south.coordinator.jobs,
                step=0.01, limit=2 * HOUR)
-    assert north.gateway._delegation(victim.job_id) is None
+    assert north.gateway.forward.delegation(victim.job_id) is None
     fed.sever("north", "south")
     fed.run(until=fed.env.now + 60)
     # The old protocol re-queued here and ran the job twice.  Now the
     # origin holds it as unknown outcome: not in the local queue, not
     # marked declined.
-    record = north.gateway._delegation(victim.job_id)
+    record = north.gateway.forward.delegation(victim.job_id)
     assert record.state is DelegationState.UNKNOWN
     assert north.coordinator.queue_pressure == 0
     fed.heal("north", "south")
@@ -121,10 +122,11 @@ def test_sever_between_commit_and_ack_never_duplicates():
     assert record.state is DelegationState.COMPLETED
     assert victim.status is JobStatus.COMPLETED
     assert _completions(fed, victim.job_id) == 1
-    assert north.gateway.forwarded_out == 1
+    assert north.gateway.forward.forwarded_out == 1
     assert blocker.is_done
     assert fed.unresolved_count() == 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
 
 
 # -- heal-time reconciliation of a missed completion notice ----------------
@@ -135,7 +137,7 @@ def test_heal_redelivers_missed_completion_notice():
     blocker = north.platform.submit_job(_job(compute=8 * HOUR))
     fed.run(until=200)
     job = north.platform.submit_job(_job(compute=30 * MINUTE))
-    _run_until(fed, lambda: north.gateway._delegation(job.job_id),
+    _run_until(fed, lambda: north.gateway.forward.delegation(job.job_id),
                step=1.0, limit=2 * HOUR)
     fed.sever("north", "south")
     host_state = south.coordinator.jobs[job.job_id]
@@ -169,7 +171,7 @@ def test_cancel_of_delegated_job_waits_out_partition():
     blocker = north.platform.submit_job(_job(compute=8 * HOUR))
     fed.run(until=200)
     job = north.platform.submit_job(_job(compute=6 * HOUR))
-    _run_until(fed, lambda: north.gateway._delegation(job.job_id),
+    _run_until(fed, lambda: north.gateway.forward.delegation(job.job_id),
                step=1.0, limit=2 * HOUR)
     fed.sever("north", "south")
     north.coordinator.cancel_job(job.job_id)
@@ -187,11 +189,12 @@ def test_cancel_of_delegated_job_waits_out_partition():
     assert not host_state.is_done
     assert north.gateway.pending_cancel_count == 0
     assert north.platform.events.count("job-cancel-delivered") == 1
-    record = north.gateway._delegation(job.job_id)
+    record = north.gateway.forward.delegation(job.job_id)
     assert record.state is DelegationState.CANCELLED
     # The GPU-hours south burned before the cancel landed are billed.
     assert fed.ledger.donated("south") > 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     assert _completions(fed, job.job_id) == 0
     assert fed.unresolved_count() == 0
 
@@ -208,13 +211,14 @@ def test_offer_during_partition_reads_as_decline_and_retries():
     fed.run(until=fed.env.now + 5 * MINUTE)
     # The offer could not cross: safe decline, job parks locally.
     assert job.job_id not in south.coordinator.jobs
-    assert north.gateway._delegation(job.job_id) is None
+    assert north.gateway.forward.delegation(job.job_id) is None
     fed.heal("north", "south")
     fed.run(until=24 * HOUR)
     # After the heal (and backoff) the job ran somewhere, exactly once.
     assert job.status is JobStatus.COMPLETED
     assert _completions(fed, job.job_id) == 1
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
 
 
 # -- the acceptance scenario: flapping link, exactly-once ------------------
@@ -239,6 +243,7 @@ def test_flapping_wan_link_completes_every_job_exactly_once():
     # All reconciliation work drained; the standing invariants hold.
     assert fed.unresolved_count() == 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     # The flapping actually happened.
     assert north.platform.events.count("wan-link-severed") == len(
         schedule.windows)

@@ -79,10 +79,10 @@ def test_neighbour_scoped_gossip_limits_digest_reach():
         [RTX_3090], [RTX_3090], [RTX_4090])
     fed.run(until=200)
     # alpha peers only with bravo; charlie is beyond its gossip horizon.
-    assert alpha.gateway.peers == ["bravo"]
-    assert sorted(alpha.gateway.peer_digests) == ["bravo"]
-    assert bravo.gateway.peers == ["alpha", "charlie"]
-    assert sorted(bravo.gateway.peer_digests) == ["alpha", "charlie"]
+    assert alpha.gateway.gossip.peers == ["bravo"]
+    assert sorted(alpha.gateway.gossip.peer_digests) == ["bravo"]
+    assert bravo.gateway.gossip.peers == ["alpha", "charlie"]
+    assert sorted(bravo.gateway.gossip.peer_digests) == ["alpha", "charlie"]
 
 
 def test_two_hop_relay_places_job_and_pays_relay_fee():
@@ -91,11 +91,11 @@ def test_two_hop_relay_places_job_and_pays_relay_fee():
 
     # The surplus job crossed alpha→bravo, then bravo relayed it to
     # charlie, where it ran — exactly once federation-wide.
-    assert alpha.gateway.forwarded_out == 1
-    assert bravo.gateway.forwarded_in == 1
-    assert bravo.gateway.relayed_out == 1
-    assert charlie.gateway.forwarded_in == 1
-    assert charlie.gateway.relayed_out == 0
+    assert alpha.gateway.forward.forwarded_out == 1
+    assert bravo.gateway.forward.forwarded_in == 1
+    assert bravo.gateway.forward.relayed_out == 1
+    assert charlie.gateway.forward.forwarded_in == 1
+    assert charlie.gateway.forward.relayed_out == 0
     assert surplus.status is JobStatus.COMPLETED
     assert _completions(fed, surplus.job_id) == 1
     assert charlie.coordinator.jobs[surplus.job_id].is_done
@@ -121,14 +121,14 @@ def test_two_hop_relay_places_job_and_pays_relay_fee():
     # Provenance survived both hops.
     arrivals = charlie.platform.events.of_kind("job-forwarded-in")
     assert arrivals and arrivals[0].payload["origin"] == "alpha"
-    record = bravo.gateway._delegation(surplus.job_id)
+    record = bravo.gateway.forward.delegation(surplus.job_id)
     assert record.origin_site == "alpha"
     assert record.upstream == "alpha"
     assert record.state is DelegationState.COMPLETED
     # The relay attributes completion to the *true* host, so a probe
     # of bravo never claims bravo ran the job.
     assert record.host_site == "charlie"
-    assert bravo.gateway._host_of(surplus.job_id) == "charlie"
+    assert bravo.gateway.forward._host_of(surplus.job_id) == "charlie"
 
 
 def test_hop_cap_one_keeps_job_parked_at_the_relay():
@@ -137,8 +137,8 @@ def test_hop_cap_one_keeps_job_parked_at_the_relay():
     fed.run(until=12 * HOUR)
     # With the PR-1 hop budget the job may cross one WAN hop only: it
     # waits at bravo for bravo's own card instead of reaching charlie.
-    assert bravo.gateway.relayed_out == 0
-    assert charlie.gateway.forwarded_in == 0
+    assert bravo.gateway.forward.relayed_out == 0
+    assert charlie.gateway.forward.forwarded_in == 0
     assert surplus.job_id not in charlie.coordinator.jobs
     assert fed.ledger.relay_fees_earned("bravo") == 0.0
 
@@ -151,7 +151,7 @@ def test_relay_never_returns_to_a_visited_site():
     charlie.platform.submit_job(_job(compute=8 * HOUR))
     charlie.platform.submit_job(_job(compute=8 * HOUR))
     fed.run(until=3 * HOUR)
-    assert alpha.gateway.forwarded_in == 0
+    assert alpha.gateway.forward.forwarded_in == 0
     assert surplus.job_id not in alpha.coordinator.queue.pending_ids()
     # The job eventually runs at bravo once its card frees up (the
     # 4-hour home job outlives this horizon, so it is still parked or
@@ -256,7 +256,7 @@ def test_admission_headroom_declines_foreign_work():
     # South never hosted the foreign job: its predicted home demand
     # owns the headroom.  (With a stale pre-reservation digest the
     # offer may fire once — the live admission check declines it.)
-    assert south.gateway.forwarded_in == 0
+    assert south.gateway.forward.forwarded_in == 0
     assert victim.job_id not in south.coordinator.jobs
 
 
@@ -271,13 +271,13 @@ def test_host_foreign_jobs_opt_out():
     south.platform.add_provider("s-farm", [RTX_4090] * 4, lab="infra")
     fed.run(until=100)
     # The opt-out site advertises no capacity at all...
-    assert north.gateway.peer_digests["south"].free_gpus == 0
+    assert north.gateway.gossip.peer_digests["south"].free_gpus == 0
     jobs = [north.platform.submit_job(_job(compute=1 * HOUR))
             for _ in range(3)]
     fed.run(until=12 * HOUR)
     # ...so north's surplus queues at home instead of crossing the WAN.
-    assert south.gateway.forwarded_in == 0
-    assert north.gateway.forwarded_out == 0
+    assert south.gateway.forward.forwarded_in == 0
+    assert north.gateway.forward.forwarded_out == 0
     assert all(job.job_id not in south.coordinator.jobs for job in jobs)
     # Opting out of hosting does not stop south forwarding its own
     # surplus the other way.
@@ -302,14 +302,14 @@ def test_adaptive_gossip_pushes_on_capacity_change():
     south.platform.add_provider("s-farm", [RTX_4090], lab="infra")
     fed.run(until=60)
     # The first digest went out on the fast tick, not at 10 minutes.
-    assert "south" in north.gateway.peer_digests
-    baseline = north.gateway.peer_digests["south"].advertised_at
+    assert "south" in north.gateway.gossip.peer_digests
+    baseline = north.gateway.gossip.peer_digests["south"].advertised_at
     assert baseline <= 30.0
     # South's card is taken at t=60: the capacity drop reaches north
     # within a fast tick instead of waiting out the slow interval.
     south.platform.submit_job(_job(compute=2 * HOUR))
     fed.run(until=120)
-    updated = north.gateway.peer_digests["south"]
+    updated = north.gateway.gossip.peer_digests["south"]
     assert updated.advertised_at > baseline
     assert updated.free_gpus <= 0
 
@@ -323,9 +323,9 @@ def test_fixed_gossip_cadence_unchanged_without_min_interval():
     north.platform.add_provider("n-ws", [RTX_3090], lab="vision")
     south.platform.add_provider("s-farm", [RTX_4090], lab="infra")
     fed.run(until=59)
-    assert north.gateway.peer_digests == {}  # nothing before t=60
+    assert north.gateway.gossip.peer_digests == {}  # nothing before t=60
     fed.run(until=65)
-    assert "south" in north.gateway.peer_digests
+    assert "south" in north.gateway.gossip.peer_digests
 
 
 def test_adaptive_gossip_tracks_drift_per_peer():
@@ -352,21 +352,21 @@ def test_adaptive_gossip_tracks_drift_per_peer():
     bravo.platform.add_provider("b-ws", [RTX_3090], lab="nlp")
     charlie.platform.add_provider("c-farm", [RTX_4090], lab="infra")
     fed.run(until=60)
-    baseline = alpha.gateway.peer_digests["bravo"].advertised_at
+    baseline = alpha.gateway.gossip.peer_digests["bravo"].advertised_at
     # Alpha drops off the WAN; bravo's capacity then drifts (its only
     # card is taken), and the drift-triggered push reaches charlie but
     # keeps failing toward alpha.
     fed.sever("alpha", "bravo")
     bravo.platform.submit_job(_job(compute=2 * HOUR))
     fed.run(until=180)
-    assert charlie.gateway.peer_digests["bravo"].free_gpus <= 0
-    assert alpha.gateway.peer_digests["bravo"].advertised_at == baseline
+    assert charlie.gateway.gossip.peer_digests["bravo"].free_gpus <= 0
+    assert alpha.gateway.gossip.peer_digests["bravo"].advertised_at == baseline
     # On heal, alpha is still drifted *for alpha* — the retry at the
     # next fast tick delivers the fresh digest, nowhere near the
     # 10-minute interval boundary.
     fed.heal("alpha", "bravo")
     fed.run(until=240)
-    updated = alpha.gateway.peer_digests["bravo"]
+    updated = alpha.gateway.gossip.peer_digests["bravo"]
     assert updated.advertised_at > baseline
     assert updated.free_gpus <= 0
 
@@ -383,9 +383,9 @@ def test_adaptive_gossip_cuts_staleness_declines():
         for _ in range(3):
             alpha.platform.submit_job(_job(compute=3 * HOUR))
         fed.run(until=12 * HOUR)
-        declines[label] = (alpha.gateway.declined
-                           + bravo.gateway.declined
-                           + charlie.gateway.declined)
+        declines[label] = (alpha.gateway.forward.declined
+                           + bravo.gateway.forward.declined
+                           + charlie.gateway.forward.declined)
     assert declines["adaptive"] <= declines["fixed"]
 
 
@@ -418,7 +418,7 @@ def _sample_digests(fed, north, south, until, step=5.0):
         now += step
         fed.run(until=now)
         for here, there in ((north, south), (south, north)):
-            digest = here.gateway.peer_digests[there.gateway.site]
+            digest = here.gateway.gossip.peer_digests[there.gateway.site]
             received[here.gateway.site].add(digest.advertised_at)
             worst = max(worst, now - digest.advertised_at)
             stale += not digest.is_fresh(now, staleness)
@@ -436,10 +436,10 @@ def test_unchanged_digest_is_refreshed_before_it_goes_stale(cadence):
     assert worst == pytest.approx(240.0, abs=1.0)
     assert len(received["north"]) == len(received["south"]) == 45
     # The pushed counter counts exactly the deliveries.
-    assert north.gateway.digests_pushed == len(received["south"])
-    assert south.gateway.digests_pushed == len(received["north"])
-    assert north.gateway.digest_push_failures == 0
-    assert north.gateway.gossip_rounds == 45
+    assert north.gateway.gossip.digests_pushed == len(received["south"])
+    assert south.gateway.gossip.digests_pushed == len(received["north"])
+    assert north.gateway.gossip.digest_push_failures == 0
+    assert north.gateway.gossip.gossip_rounds == 45
 
 
 def test_refresh_is_clamped_to_one_round():
@@ -450,7 +450,7 @@ def test_refresh_is_clamped_to_one_round():
     assert worst <= 60.0
     assert stale == 0
     assert len(received["north"]) == 179
-    assert north.gateway.digests_pushed == 179
+    assert north.gateway.gossip.digests_pushed == 179
 
 
 @pytest.mark.parametrize("cadence", [{}, {"gossip_interval_min": 15.0}],
@@ -460,16 +460,16 @@ def test_refresh_due_during_a_partition_lands_on_the_first_tick_after_heal(
     fed, north, south = _quiet_pair(**cadence)
     tick = cadence.get("gossip_interval_min", 60.0)
     fed.run(until=250)
-    before = north.gateway.peer_digests["south"].advertised_at
+    before = north.gateway.gossip.peer_digests["south"].advertised_at
     # South's refresh toward north falls due at before + 240 s, inside
     # the partition, and fails on every tick until the heal.
     fed.sever("north", "south")
     fed.run(until=400)
-    assert south.gateway.digest_push_failures > 0
-    assert north.gateway.peer_digests["south"].advertised_at == before
+    assert south.gateway.gossip.digest_push_failures > 0
+    assert north.gateway.gossip.peer_digests["south"].advertised_at == before
     fed.heal("north", "south")
     fed.run(until=400 + tick + 1.0)
-    delivered = north.gateway.peer_digests["south"].advertised_at
+    delivered = north.gateway.gossip.peer_digests["south"].advertised_at
     assert 400 < delivered <= 400 + tick
 
 
@@ -481,9 +481,9 @@ def test_restarted_gateway_gets_neighbour_digest_within_refresh_and_tick():
         windows=(FaultWindow("gateway", "north", 1000.0, 60.0),)))
     fed.run(until=1060.5)
     assert not north.gateway.is_crashed
-    assert "south" not in north.gateway.peer_digests
+    assert "south" not in north.gateway.gossip.peer_digests
     fed.run(until=1060.0 + 240.0 + 15.0)
-    assert "south" in north.gateway.peer_digests
+    assert "south" in north.gateway.gossip.peer_digests
 
 
 # -- the relay experiment --------------------------------------------------

@@ -384,7 +384,7 @@ def test_false_positive_quarantine_heals_through_probation():
     fed, north, south = _verified_pair()
     gateway = north.gateway
     fed.run(until=10 * MINUTE)
-    gateway._apply_strike("south", "unknown-job", definitive=True)
+    gateway.gossip.strike("south", "unknown-job", definitive=True)
     assert gateway.trust.blocks("south")
     assert north.platform.events.count("site-quarantined") == 1
     config = fed.federation_config
@@ -398,7 +398,7 @@ def test_false_positive_quarantine_heals_through_probation():
     blocker, victim = _forced_forward(fed, north)
     fed.run(until=fed.env.now + 24 * HOUR)
     assert victim.status is JobStatus.COMPLETED
-    assert gateway.forwarded_out >= 1
+    assert gateway.forward.forwarded_out >= 1
     assert fed.duplicate_executions() == []
     assert fed.tracer.orphans() == []
 
@@ -411,13 +411,13 @@ def test_quarantine_during_inflight_forward_preserves_exactly_once():
     fed, north, south = _verified_pair()
     blocker, victim = _forced_forward(fed, north)
     origin = north.gateway
-    _run_until(fed, lambda: getattr(origin.records.get(victim.job_id),
+    _run_until(fed, lambda: getattr(origin.forward.records.get(victim.job_id),
                                     "out", None) is not None
-               and origin.records[victim.job_id].out.state
+               and origin.forward.records[victim.job_id].out.state
                is DelegationState.CLAIMED, step=0.01, limit=2 * HOUR)
-    origin._apply_strike("south", "overbilled", definitive=True)
+    origin.gossip.strike("south", "overbilled", definitive=True)
     assert origin.trust.blocks("south")
-    assert "south" not in origin.peer_digests
+    assert "south" not in origin.gossip.peer_digests
     # Run the job to completion but stay inside the quarantine window.
     fed.run(until=fed.env.now + 90 * MINUTE)
     # Reconciliation safety outranks isolation: the handshake resolved.
@@ -448,16 +448,16 @@ def test_rejoin_after_eviction_requires_operator_reinstate():
     fed, north, south = _verified_pair()
     gateway = north.gateway
     fed.run(until=10 * MINUTE)
-    gateway._apply_strike("south", "replay", definitive=True)
+    gateway.gossip.strike("south", "replay", definitive=True)
     config = fed.federation_config
     fed.run(until=fed.env.now + config.quarantine_duration + MINUTE)
     assert gateway.trust.state("south") is TrustState.PROBATION
-    gateway._apply_strike("south", "fork", definitive=True)
+    gateway.gossip.strike("south", "fork", definitive=True)
     assert gateway.trust.state("south") is TrustState.EVICTED
     fed.run(until=fed.env.now + 12 * HOUR)
     assert gateway.trust.state("south") is TrustState.EVICTED
-    assert not gateway.reinstate_peer("never-met")
-    assert gateway.reinstate_peer("south")
+    assert not gateway.gossip.reinstate_peer("never-met")
+    assert gateway.gossip.reinstate_peer("south")
     assert north.platform.events.count("site-probation") >= 1
     fed.run(until=fed.env.now + config.probation_duration + MINUTE)
     assert gateway.trust.state("south") is TrustState.TRUSTED

@@ -11,6 +11,7 @@ import json
 from math import inf
 from pathlib import Path
 
+import handler_errors
 import test_fault_model
 import test_scenarios_runner
 from test_federation_partition import _job, _run_until, _two_campuses
@@ -38,10 +39,10 @@ def test_quiet_gossip_wakes_only_at_refresh_deadlines():
     profile = KernelProfile()
     fed.env.hooks = profile
     fed.run(until=2 * HOUR)
-    refresh = handles[0].gateway._gossip_refresh
+    refresh = handles[0].gateway.gossip.refresh
     wakes = {kind: count for kind, count, _wall
              in profile.dispatches_by_kind()}.get(
-                 "FederationGateway._gossip_due", 0)
+                 "Gossip._due", 0)
     # An every-tick loop wakes 2 h / 15 s = 480 times per gateway; a
     # sleeping one only to re-send its unchanged digest before it
     # goes stale.
@@ -49,20 +50,20 @@ def test_quiet_gossip_wakes_only_at_refresh_deadlines():
     assert len(handles) * (per_gateway - 1) <= wakes
     assert wakes <= len(handles) * (per_gateway + 2)
     for handle in handles:
-        assert handle.gateway.digests_pushed >= per_gateway - 1
+        assert handle.gateway.gossip.digests_pushed >= per_gateway - 1
 
 
 def test_reserved_gpu_reaches_the_neighbour_on_the_next_tick():
     fed, alpha, bravo, _charlie = _quiet_line()
     fed.run(until=1000.3)
-    before = bravo.gateway.peer_digests["alpha"]
+    before = bravo.gateway.gossip.peer_digests["alpha"]
     registry = alpha.coordinator.registry
     record = registry.schedulable()[0]
     gpu = next(iter(record.gpus.values()))
     reserved_at = fed.env.now
     registry.reserve_gpu(record.node_id, gpu.uuid, gpu.memory_total)
     fed.run(until=reserved_at + 15.0 + 1.0)  # next tick plus the RPC
-    after = bravo.gateway.peer_digests["alpha"]
+    after = bravo.gateway.gossip.peer_digests["alpha"]
     assert after.free_gpus == before.free_gpus - 1
     assert reserved_at < after.advertised_at <= reserved_at + 15.0
 
@@ -100,30 +101,30 @@ def test_reconcile_sleeps_without_work_and_probes_on_its_grid():
     fed, north, south = _two_campuses([RTX_3090], [RTX_4090])
     gateway = north.gateway
     probes = []
-    call = gateway._call
+    call = gateway.call
 
     def recording_call(dest, method, payload, timeout=None):
         if method == "forward-status":
             probes.append(fed.env.now)
         return call(dest, method, payload, timeout=timeout)
 
-    gateway._call = recording_call
+    gateway.call = recording_call
     fed.run(until=100)
-    assert gateway._reconcile_timer.when == inf
+    assert gateway.forward._reconcile_timer.when == inf
     north.platform.submit_job(_job(compute=6 * HOUR))
     fed.run(until=200)
-    assert gateway._reconcile_timer.when == inf
+    assert gateway.forward._reconcile_timer.when == inf
     victim = north.platform.submit_job(_job(compute=1 * HOUR))
     _run_until(fed, lambda: victim.job_id in south.coordinator.jobs,
                step=0.01, limit=2 * HOUR)
     fed.sever("north", "south")
     fed.run(until=fed.env.now + 1.0)
-    record = gateway._delegation(victim.job_id)
+    record = gateway.forward.delegation(victim.job_id)
     assert record.state is DelegationState.UNKNOWN
     # The unknown-outcome kick probed at once; the leg stays unknown,
     # so the timer holds the next grid point.
     assert len(probes) == 1
-    due = gateway._reconcile_timer.when
+    due = gateway.forward._reconcile_timer.when
     assert due < inf
     fed.run(until=due)
     assert probes[-1] == due and len(probes) == 2
@@ -135,39 +136,39 @@ def test_reconcile_sleeps_without_work_and_probes_on_its_grid():
     assert probes[-1] == healed_at
     assert record.state is not DelegationState.UNKNOWN
     fed.run(until=6 * HOUR)
-    assert gateway._reconcile_timer.when == inf
+    assert gateway.forward._reconcile_timer.when == inf
 
 
 def test_failed_completion_notice_arms_reconcile_without_a_kick():
     fed, north, south = _two_campuses([RTX_3090], [RTX_4090])
     gateway = south.gateway
     sends = []
-    call = gateway._call
+    call = gateway.call
 
     def recording_call(dest, method, payload, timeout=None):
         if method == "job-complete":
             sends.append(fed.env.now)
         return call(dest, method, payload, timeout=timeout)
 
-    gateway._call = recording_call
+    gateway.call = recording_call
     fed.run(until=100)
     north.platform.submit_job(_job(compute=8 * HOUR))
     fed.run(until=200)
     job = north.platform.submit_job(_job(compute=1 * HOUR))
-    _run_until(fed, lambda: north.gateway._delegation(job.job_id),
+    _run_until(fed, lambda: north.gateway.forward.delegation(job.job_id),
                step=1.0, limit=2 * HOUR)
     fed.sever("north", "south")
-    assert gateway._reconcile_timer.when == inf
+    assert gateway.forward._reconcile_timer.when == inf
     host_state = south.coordinator.jobs[job.job_id]
     _run_until(fed, lambda: host_state.is_done, step=60.0, limit=12 * HOUR)
     # The notice failed behind the partition: nothing kicked the
     # reconcile loop, yet the new work armed its timer.
     assert len(sends) == 1 and gateway.unacked_completion_count == 1
-    due = gateway._reconcile_timer.when
+    due = gateway.forward._reconcile_timer.when
     assert sends[0] < due <= sends[0] + gateway.config.reconcile_interval
     fed.run(until=due)
     assert sends[-1] == due and len(sends) == 2
-    assert gateway._reconcile_timer.when == (
+    assert gateway.forward._reconcile_timer.when == (
         due + gateway.config.reconcile_interval)
 
 
@@ -175,21 +176,22 @@ def test_failed_completion_notice_arms_reconcile_without_a_kick():
 
 def _gossip_due(gateway, now):
     """Whether the gossip loop has something to do right now."""
-    refresh = gateway._gossip_refresh
+    refresh = gateway.gossip.refresh
     digest = gateway.local_digest()
     if gateway.adversary is not None:
         digest = gateway.adversary.advertise(digest)
     balance = gateway.ledger.balance(gateway.site)
-    if any(now - gateway._pushed_at.get(peer, -inf) >= refresh
-           or gateway._digest_drifted(peer, digest, balance)
-           for peer in gateway.peers):
+    if any(now - gateway.gossip._pushed_at.get(peer, -inf) >= refresh
+           or gateway.gossip._digest_drifted(peer, digest, balance)
+           for peer in gateway.gossip.peers):
         return True
     trust = gateway.trust
     if trust is None:
         return False
     return trust.next_deadline() <= now or any(
-        gateway.sharechain.entries_after(gateway._chain_acked.get(peer, {}))
-        for peer in gateway.peers if not trust.blocks(peer))
+        gateway.sharechain.entries_after(
+            gateway.gossip._chain_acked.get(peer, {}))
+        for peer in gateway.gossip.peers if not trust.blocks(peer))
 
 
 def _sleep_probe(deployment, step=15.0, offset=7.5):
@@ -209,18 +211,19 @@ def _sleep_probe(deployment, step=15.0, offset=7.5):
             gateway = handle.gateway
             coordinator = handle.platform.coordinator
             if not gateway.is_crashed:
-                wake = gateway._gossip_wake
-                tick = gateway._gossip_tick
+                wake = gateway.gossip._wake
+                tick = gateway.gossip.tick
                 if (wake is not None and not wake.triggered
                         and _gossip_due(gateway, now)
-                        and gateway._gossip_timer.when > now + tick):
+                        and gateway.gossip._timer.when > now + tick):
                     violations.append((now, name, "gossip"))
-                wake = gateway._reconcile_wake
+                wake = gateway.forward._reconcile_wake
                 interval = gateway.config.reconcile_interval
                 if (wake is not None and not wake.triggered
-                        and not gateway._reconcile_kicked
-                        and gateway._has_reconcile_work()
-                        and gateway._reconcile_timer.when > now + interval):
+                        and not gateway.forward._reconcile_kicked
+                        and gateway.forward._has_reconcile_work()
+                        and gateway.forward._reconcile_timer.when
+                        > now + interval):
                     violations.append((now, name, "reconcile"))
             interval = coordinator.config.dispatch_retry_interval
             if (not coordinator.is_crashed and coordinator.parked_count
@@ -241,6 +244,7 @@ def test_no_loop_sleeps_through_work_on_federation_day():
     assert len(checks) >= 24 * HOUR / 15.0 - 1
     assert violations == []
     assert compiled.deployment.audit() == []
+    assert handler_errors.unexpected(compiled.deployment) == {}
 
 
 def test_no_loop_sleeps_through_work_with_a_forger():

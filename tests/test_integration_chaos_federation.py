@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+import handler_errors
 from repro.agent import BehaviorProfile
 from repro.federation import (FaultSchedule, FaultWindow, FederatedDeployment,
                               FederationConfig)
@@ -125,6 +126,7 @@ def test_exactly_once_no_job_lost(chaos_federation):
         assert job.status is JobStatus.COMPLETED
         assert completions.get(job.job_id, 0) == 1, job.job_id
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
 
 
 def test_reconciliation_drains_and_ledger_conserves(chaos_federation):
@@ -133,6 +135,7 @@ def test_reconciliation_drains_and_ledger_conserves(chaos_federation):
     # notices may survive the quiet tail.
     assert fed.unresolved_count() == 0
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     # Origin-side records all closed.
     for handle in fed.sites.values():
         assert handle.gateway.unresolved_delegations == 0

@@ -88,12 +88,14 @@ def test_gossip_families_count_rounds_deliveries_and_failures():
     failed = reg.get("federation_digest_push_failures_total")
     for site, handle in fed.sites.items():
         gateway = handle.gateway
-        assert pushed.value(site=site) == gateway.digests_pushed > 0
-        assert failed.value(site=site) == gateway.digest_push_failures > 0
+        assert pushed.value(site=site) == gateway.gossip.digests_pushed > 0
+        assert failed.value(site=site) == (
+            gateway.gossip.digest_push_failures) > 0
         # One neighbour each: every round is one delivery or one
         # failure, and a round whose push failed still counts.
-        assert rounds.value(site=site) == gateway.gossip_rounds == (
-            gateway.digests_pushed + gateway.digest_push_failures)
+        assert rounds.value(site=site) == gateway.gossip.gossip_rounds == (
+            gateway.gossip.digests_pushed
+            + gateway.gossip.digest_push_failures)
 
 
 def test_rpc_handler_errors_reach_fleet_scrape():

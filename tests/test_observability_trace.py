@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import handler_errors
 from repro.federation import FederatedDeployment, FederationConfig
 from repro.gpu import RTX_3090, RTX_4090
 from repro.observability import TraceContext, Tracer
@@ -137,7 +138,7 @@ def build_forwarding_pair(trace=True):
 def test_forwarded_job_has_complete_span_chain():
     fed, north, south = build_forwarding_pair()
     fed.run(until=6 * HOUR)
-    assert north.gateway.forwarded_out == 3
+    assert north.gateway.forward.forwarded_out == 3
     tracer = fed.tracer
     assert tracer.orphans() == []
     for trace_id in tracer.trace_ids():
@@ -224,7 +225,7 @@ def test_two_hop_relay_span_tree():
         lab="nlp"))
     fed.run(until=12 * HOUR)
 
-    assert bravo.gateway.relayed_out == 1
+    assert bravo.gateway.forward.relayed_out == 1
     tracer = fed.tracer
     trace_id = surplus.job_id
     assert tracer.orphans(trace_id) == []
@@ -279,6 +280,7 @@ def test_relay_chaos_span_trees_are_complete():
     assert fed.duplicate_executions() == []
     assert tracer.orphans() == []
     assert fed.audit() == []
+    assert handler_errors.unexpected(fed) == {}
     assert fed.total_forwarded() > 0  # the WAN actually engaged
     assert fed.total_relayed() > 0    # ...across more than one hop
     submitted = {planned.spec.job_id for planned in compiled.jobs

@@ -154,6 +154,17 @@ def _forget_detection(fed):
     del fed.site("north").gateway.trust.detected_at["south"]
 
 
+def _kill_gossip_loop(fed):
+    """North's gossip round raises, as a bug in it would: the loop
+    dies with the exception and nothing else notices."""
+    gossip = fed.site("north").gateway.gossip
+    assert not gossip._wake.triggered  # asleep between rounds
+    gossip._pushed_at = None
+    gossip._wake.succeed()
+    fed.run(until=fed.env.now)
+    assert isinstance(gossip.loop.value, AttributeError)
+
+
 BREAKS = {
     "exactly-once": _complete_again_elsewhere,
     "no-job-lost": _drop_from_origin_book,
@@ -163,6 +174,7 @@ BREAKS = {
     "view-conservation": lambda fed: _credit_without_debit(
         fed.site("north").gateway.sharechain.view),
     "byzantine-detection": _forget_detection,
+    "loop-liveness": _kill_gossip_loop,
 }
 
 

@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+import handler_errors
 from repro.scenarios import ScenarioSpec, compile_scenario
 from repro.server import SimulationServer
 
@@ -336,6 +337,7 @@ def test_thousand_jobs_exactly_once():
         by_status[doc["status"]] = by_status.get(doc["status"], 0) + 1
     assert by_status == {"completed": total}
     assert srv.audit() == []
+    assert handler_errors.unexpected(srv.deployment) == {}
     _code, _headers, metrics = request(url + "/metrics")
     assert f"server_jobs_submitted_total {total}" in metrics
     srv.stop()
