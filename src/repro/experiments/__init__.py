@@ -10,21 +10,15 @@ from .campus import (
     total_gpus,
 )
 from .federation import (
-    FEDERATION_SITES,
-    RELAY_SITES,
     ByzantineResult,
     FederationResult,
-    FederationSiteSpec,
     PartitionResult,
     RelayResult,
-    build_federation,
-    build_relay_federation,
-    default_partition_schedule,
+    load_scenario,
     run_byzantine_experiment,
     run_federation,
     run_partition_experiment,
     run_relay_experiment,
-    site_demand,
 )
 from .fig2_utilization import Fig2Result, run_fig2, weekly_series
 from .fig3_migration import (
@@ -53,21 +47,15 @@ __all__ = [
     "build_manual_campus",
     "campus_demand",
     "total_gpus",
-    "FEDERATION_SITES",
-    "RELAY_SITES",
     "FederationResult",
-    "FederationSiteSpec",
     "ByzantineResult",
     "PartitionResult",
     "RelayResult",
-    "build_federation",
-    "build_relay_federation",
-    "default_partition_schedule",
+    "load_scenario",
     "run_federation",
     "run_byzantine_experiment",
     "run_partition_experiment",
     "run_relay_experiment",
-    "site_demand",
     "Fig2Result",
     "run_fig2",
     "weekly_series",

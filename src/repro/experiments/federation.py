@@ -1,181 +1,69 @@
-"""Multi-campus federation experiment.
+"""Multi-campus federation experiments, run as checked-in scenarios.
 
 The paper's deployment is one campus; the north-star is many campuses
-pooling donated GPUs over a WAN.  This experiment quantifies what
-federation buys: three campuses with deliberately imbalanced demand —
-a workstation-heavy campus drowning in requests, a GPU-farm campus
-mostly idle, a third in between — run twice over identical demand
-traces:
+pooling donated GPUs over a WAN.  Four experiments quantify what
+federation buys and what it survives.  Each runs a checked-in
+:class:`~repro.scenarios.ScenarioSpec` (package data under
+``scenarios/``) and a variant of it that differs in one field, both
+through :func:`~repro.scenarios.compile_scenario`, over identical
+demand (the demand streams derive from the scenario name and the site
+name only):
 
-* **isolated** — three independent GPUnion deployments; surplus demand
-  at one campus parks forever while another campus idles;
-* **federated** — the same three campuses peered through
-  :class:`~repro.federation.FederatedDeployment`; unplaceable jobs
-  cross the WAN (datasets and checkpoint snapshots charged on the sim
-  clock) and GPU-hour credits settle in the shared ledger.
-
-Both phases share per-site seeds, so the comparison isolates exactly
-one variable: whether the WAN peering exists.
+* ``federation-mesh``: three fully meshed campuses with deliberately
+  imbalanced demand.  A workstation-heavy campus drowns in requests, a
+  GPU-farm campus mostly idles, a third sits in between.
+  :func:`run_federation` compares each campus run alone with the
+  federation, :func:`run_partition_experiment` a stable WAN with a
+  flapping one, and :func:`run_byzantine_experiment` an all-honest
+  verified ledger with one forging campus.
+* ``federation-line``: three campuses on a line, the middle one's
+  workstations reclaimed by their owners for hours at a time.
+  :func:`run_relay_experiment` compares 1-hop forwarding with 2-hop
+  relaying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from importlib import resources
+from typing import Dict, List, Tuple
 
-from ..agent import BehaviorProfile
-from ..core.platform import GPUnionPlatform
-from ..federation import (FaultSchedule, FaultWindow, FederatedDeployment,
-                          FederationConfig)
-from ..gpu.specs import A100_40GB, A6000, RTX_3090, RTX_4090
-from ..sim import RngStreams
-from ..sim.rng import derive_seed
-from ..units import DAY, HOUR, MINUTE, gbps, mbps
-from ..workloads.generator import Arrival, LabProfile, WorkloadGenerator
-from .campus import ServerSpec, replay_demand
+from ..federation import FaultSchedule, FederatedDeployment
+from ..scenarios import (AdversarySpec, OutageSpec, ScenarioSpec,
+                         compile_scenario)
+from ..units import DAY, HOUR, MINUTE
 
 
-@dataclass(frozen=True)
-class FederationSiteSpec:
-    """One campus in the federation experiment: iron plus demand."""
-
-    name: str
-    servers: Tuple[ServerSpec, ...]
-    labs: Tuple[LabProfile, ...]
-
-    @property
-    def gpu_count(self) -> int:
-        """GPUs this campus contributes."""
-        return sum(len(server.gpu_specs) for server in self.servers)
+def load_scenario(name: str) -> ScenarioSpec:
+    """A checked-in federation scenario: ``"federation-mesh"`` or
+    ``"federation-line"``."""
+    path = resources.files(__package__) / "scenarios" / f"{name}.json"
+    return ScenarioSpec.from_json(path.read_text())
 
 
-def _mix_small() -> Tuple[Tuple[str, float], ...]:
-    return (("resnet50-cifar", 3.0), ("unet-segmentation", 2.0),
-            ("bert-base-finetune", 2.0))
+def _spec(name: str, days: float) -> ScenarioSpec:
+    return replace(load_scenario(name), duration_hours=days * DAY / HOUR)
 
 
-def _mix_large() -> Tuple[Tuple[str, float], ...]:
-    return (("resnet152-imagenet", 2.0), ("vit-large-finetune", 1.5))
+def _run(spec: ScenarioSpec, seed: int) -> FederatedDeployment:
+    return compile_scenario(spec, seed=seed).run().deployment
 
 
-#: Three campuses with the imbalance the federation exists to fix:
-#: "north" over-demands its 4 workstation GPUs ~2×, "south" hosts the
-#: farm and barely uses it, "east" sits near balance.
-FEDERATION_SITES: Tuple[FederationSiteSpec, ...] = (
-    FederationSiteSpec(
-        name="north",
-        servers=(
-            ServerSpec("n-ws1", (RTX_3090,), "vision"),
-            ServerSpec("n-ws2", (RTX_3090,), "vision"),
-            ServerSpec("n-ws3", (RTX_3090,), "vision"),
-            ServerSpec("n-ws4", (RTX_3090,), "vision"),
-        ),
-        labs=(
-            LabProfile("vision", batch_jobs_per_day=14.0,
-                       interactive_sessions_per_day=3.0,
-                       job_mix=_mix_small(), mean_job_compute_hours=10.0,
-                       students=8),
-            # Compute-poor lab: plenty of demand, zero servers.
-            LabProfile("theory", batch_jobs_per_day=26.0,
-                       interactive_sessions_per_day=2.0,
-                       job_mix=_mix_small(), mean_job_compute_hours=9.0,
-                       students=9),
-        ),
-    ),
-    FederationSiteSpec(
-        name="south",
-        servers=(
-            ServerSpec("s-farm", (RTX_4090,) * 8, "ml-infra",
-                       access_gbps=10.0),
-            ServerSpec("s-a100", (A100_40GB,) * 2, "bio",
-                       access_gbps=10.0),
-        ),
-        labs=(
-            LabProfile("ml-infra", batch_jobs_per_day=2.0,
-                       interactive_sessions_per_day=1.0,
-                       job_mix=_mix_large(), mean_job_compute_hours=14.0,
-                       students=5),
-            LabProfile("bio", batch_jobs_per_day=1.5,
-                       interactive_sessions_per_day=1.0,
-                       job_mix=_mix_large(), mean_job_compute_hours=12.0,
-                       students=4),
-        ),
-    ),
-    FederationSiteSpec(
-        name="east",
-        servers=(
-            ServerSpec("e-ws1", (RTX_3090,), "nlp"),
-            ServerSpec("e-ws2", (RTX_3090,), "nlp"),
-            ServerSpec("e-ws3", (RTX_3090,), "nlp"),
-            ServerSpec("e-a6000", (A6000,) * 4, "robotics",
-                       access_gbps=10.0),
-        ),
-        labs=(
-            LabProfile("nlp", batch_jobs_per_day=4.0,
-                       interactive_sessions_per_day=2.0,
-                       job_mix=_mix_small(), mean_job_compute_hours=10.0,
-                       students=6),
-            LabProfile("robotics", batch_jobs_per_day=3.0,
-                       interactive_sessions_per_day=1.5,
-                       job_mix=_mix_small(), mean_job_compute_hours=10.0,
-                       students=5),
-        ),
-    ),
-)
+def _pair(spec: ScenarioSpec, seed: int, **change
+          ) -> Tuple[FederatedDeployment, FederatedDeployment]:
+    """Run ``spec`` and its variant with ``change`` applied."""
+    return _run(spec, seed), _run(replace(spec, **change), seed)
 
 
-def site_demand(
-    seed: int,
-    site: FederationSiteSpec,
-    horizon: float,
-    checkpoint_interval: float = 10 * MINUTE,
-) -> List[Arrival]:
-    """The site's demand trace — identical across both phases.
-
-    Seeded only by the federation seed and the site name, so building
-    the platforms (isolated or federated) cannot perturb it.
-    """
-    generator = WorkloadGenerator(
-        RngStreams(derive_seed(seed, f"demand:{site.name}")).spawn("demand"))
-    return generator.combined_trace(
-        site.labs, horizon,
-        unaffiliated_sessions_per_day=0.0,
-        checkpoint_interval=checkpoint_interval,
-    )
+def _completed_once(fed: FederatedDeployment) -> int:
+    """Jobs that completed at exactly one campus, federation-wide."""
+    return sum(1 for count in fed.completion_counts().values()
+               if count == 1)
 
 
-_feed = replay_demand
-
-
-def _populate(platform: GPUnionPlatform,
-              site: FederationSiteSpec) -> None:
-    for server in site.servers:
-        platform.add_provider(
-            server.hostname,
-            list(server.gpu_specs),
-            lab=server.lab,
-            access_capacity=gbps(server.access_gbps),
-        )
-
-
-def build_federation(
-    seed: int = 0,
-    sites: Sequence[FederationSiteSpec] = FEDERATION_SITES,
-    wan_capacity: float = mbps(500),
-    wan_latency: float = 0.025,
-    federation_config: Optional[FederationConfig] = None,
-) -> FederatedDeployment:
-    """A full-mesh federation of the experiment's campuses."""
-    fed = FederatedDeployment(seed=seed,
-                              federation_config=federation_config)
-    for site in sites:
-        handle = fed.add_campus(site.name)
-        _populate(handle.platform, site)
-    names = [site.name for site in sites]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            fed.connect(a, b, capacity=wan_capacity, latency=wan_latency)
-    return fed
+def _event_total(fed: FederatedDeployment, kind: str) -> int:
+    return sum(handle.platform.events.count(kind)
+               for handle in fed.sites.values())
 
 
 @dataclass
@@ -219,56 +107,19 @@ class FederationResult:
         return rows
 
 
-def _completed(platform: GPUnionPlatform) -> int:
-    return sum(1 for job in platform.coordinator.jobs.values()
-               if job.is_done)
-
-
-def run_federation(
-    seed: int = 42,
-    days: float = 2.0,
-    sites: Sequence[FederationSiteSpec] = FEDERATION_SITES,
-    federation_config: Optional[FederationConfig] = None,
-) -> FederationResult:
-    """Run both phases and collect the comparison."""
+def run_federation(seed: int = 42, days: float = 2.0) -> FederationResult:
+    """Each mesh campus alone (a one-site deployment) vs the mesh."""
     horizon = days * DAY
-
-    # Phase 1: three isolated campuses.  Same per-site seeds as the
-    # federated phase, so the only variable is the WAN peering.
+    spec = _spec("federation-mesh", days)
     isolated_by_site: Dict[str, float] = {}
-    isolated_values: List[Tuple[int, float]] = []
     isolated_completed = 0
-    for site in sites:
-        platform = GPUnionPlatform(
-            seed=derive_seed(seed, f"site:{site.name}"))
-        _populate(platform, site)
-        _feed(platform, site_demand(seed, site, horizon))
-        platform.run(until=horizon)
-        util = platform.fleet_utilization(0, horizon)
-        isolated_by_site[site.name] = util
-        isolated_values.append((site.gpu_count, util))
-        isolated_completed += _completed(platform)
-    total_gpus = sum(count for count, _ in isolated_values)
-    isolated_overall = sum(count * util for count, util in isolated_values)
-    isolated_overall /= max(total_gpus, 1)
-
-    # Phase 2: the same campuses, federated.
-    fed = build_federation(seed=seed, sites=sites,
-                           federation_config=federation_config)
-    for site in sites:
-        _feed(fed.site(site.name).platform,
-              site_demand(seed, site, horizon))
-    fed.run(until=horizon)
-
-    federated_completed = sum(
-        _completed(handle.platform) for handle in fed.sites.values())
-    # Delegated jobs exist in two coordinators (origin stub + host);
-    # count each only once, at its origin.
-    federated_completed -= sum(
-        1 for handle in fed.sites.values()
-        for record in handle.gateway.forward.records.values()
-        if record.out is not None and record.out.completed_at is not None
-    )
+    for site in spec.sites:
+        alone = _run(replace(spec, sites=(site,), links=()), seed)
+        isolated_by_site[site.name] = alone.aggregate_utilization(0, horizon)
+        isolated_completed += _completed_once(alone)
+    isolated_overall = sum(site.gpu_count * isolated_by_site[site.name]
+                           for site in spec.sites) / spec.total_gpus
+    fed = _run(spec, seed)
     return FederationResult(
         days=days,
         isolated_by_site=isolated_by_site,
@@ -276,7 +127,7 @@ def run_federation(
         isolated_overall=isolated_overall,
         federated_overall=fed.aggregate_utilization(0, horizon),
         isolated_completed=isolated_completed,
-        federated_completed=federated_completed,
+        federated_completed=_completed_once(fed),
         forwarded_jobs=fed.total_forwarded(),
         wan_bytes=fed.wan_bytes(),
         wan_transfer_seconds=fed.total_wan_transfer_seconds(),
@@ -286,103 +137,6 @@ def run_federation(
 
 
 # -- multi-hop relay forwarding --------------------------------------------
-
-
-#: The relay scenario's three campuses on a *line*: "alpha" is
-#: overloaded, "bravo" (its only WAN neighbour) runs hot enough that
-#: forwarded work often lands just as bravo's own demand takes the
-#: cards, and "charlie" — reachable only through bravo, because gossip
-#: is neighbour-scoped — hosts an idle farm.  Without relaying,
-#: alpha's surplus piles up at the saturated middle while charlie
-#: idles two hops away.
-RELAY_SITES: Tuple[FederationSiteSpec, ...] = (
-    FederationSiteSpec(
-        name="alpha",
-        servers=(
-            ServerSpec("a-ws1", (RTX_3090,), "vision"),
-            ServerSpec("a-ws2", (RTX_3090,), "vision"),
-        ),
-        labs=(
-            LabProfile("vision", batch_jobs_per_day=10.0,
-                       interactive_sessions_per_day=1.0,
-                       job_mix=_mix_small(), mean_job_compute_hours=10.0,
-                       students=6),
-            LabProfile("theory", batch_jobs_per_day=16.0,
-                       interactive_sessions_per_day=1.0,
-                       job_mix=_mix_small(), mean_job_compute_hours=9.0,
-                       students=8),
-        ),
-    ),
-    FederationSiteSpec(
-        name="bravo",
-        servers=(
-            ServerSpec("b-ws1", (RTX_3090,), "nlp"),
-            ServerSpec("b-ws2", (RTX_3090,), "nlp"),
-        ),
-        labs=(
-            LabProfile("nlp", batch_jobs_per_day=7.0,
-                       interactive_sessions_per_day=1.0,
-                       job_mix=_mix_small(), mean_job_compute_hours=9.0,
-                       students=5),
-        ),
-    ),
-    FederationSiteSpec(
-        name="charlie",
-        servers=(
-            ServerSpec("c-farm", (RTX_4090,) * 6, "ml-infra",
-                       access_gbps=10.0),
-        ),
-        labs=(
-            LabProfile("ml-infra", batch_jobs_per_day=1.0,
-                       interactive_sessions_per_day=0.5,
-                       job_mix=_mix_large(), mean_job_compute_hours=8.0,
-                       students=3),
-        ),
-    ),
-)
-
-
-#: Provider volatility at the middle campus: its owners reclaim their
-#: workstations for hours at a time, so bravo keeps accepting foreign
-#: work it can no longer run — the situation relaying exists to fix.
-MIDDLE_VOLATILITY = BehaviorProfile(
-    events_per_day=3.0,
-    p_scheduled=0.2, p_emergency=0.2, p_temporary=0.6,
-    mean_temporary_downtime=2 * HOUR,
-    mean_rejoin_delay=90 * MINUTE,
-)
-
-
-def build_relay_federation(
-    seed: int = 0,
-    sites: Sequence[FederationSiteSpec] = RELAY_SITES,
-    wan_capacity: float = mbps(500),
-    wan_latency: float = 0.025,
-    federation_config: Optional[FederationConfig] = None,
-    middle_volatility: Optional[BehaviorProfile] = MIDDLE_VOLATILITY,
-) -> FederatedDeployment:
-    """A *line* federation (each campus linked only to the next one).
-
-    Gossip is neighbour-scoped, so the first campus never learns the
-    last one's capacity directly — placement beyond the immediate
-    neighbour exists only if relaying is allowed.  The middle site's
-    providers run ``middle_volatility`` departure schedules: foreign
-    jobs displaced by an owner reclaiming a card are what the relay
-    path (or, in the 1-hop baseline, a long wait) must absorb.
-    """
-    fed = FederatedDeployment(seed=seed,
-                              federation_config=federation_config)
-    for site in sites:
-        handle = fed.add_campus(site.name)
-        _populate(handle.platform, site)
-    if middle_volatility is not None and len(sites) > 2:
-        middle = fed.site(sites[1].name).platform
-        for server in sites[1].servers:
-            middle.add_behavior(server.hostname, middle_volatility)
-    names = [site.name for site in sites]
-    for a, b in zip(names, names[1:]):
-        fed.connect(a, b, capacity=wan_capacity, latency=wan_latency)
-    return fed
 
 
 @dataclass
@@ -430,40 +184,18 @@ class RelayResult:
         return rows
 
 
-def run_relay_experiment(
-    seed: int = 42,
-    days: float = 2.0,
-    sites: Sequence[FederationSiteSpec] = RELAY_SITES,
-    max_forward_hops: int = 2,
-    federation_config: Optional[FederationConfig] = None,
-) -> RelayResult:
-    """Multi-hop relaying vs the PR-1 hop budget, on the line topology.
+def run_relay_experiment(seed: int = 42, days: float = 2.0) -> RelayResult:
+    """Multi-hop relaying vs a 1-hop budget, on the line topology.
 
-    Both runs replay identical per-site demand; the only difference is
-    ``max_forward_hops`` (1 vs ``max_forward_hops``).  The baseline
-    strands alpha's surplus at the saturated middle campus; the relay
-    run lets bravo pass it on to charlie's idle farm, recovering
-    aggregate utilization — with bravo's relay fees visible in the
-    ledger.
+    Gossip is neighbour-scoped, so alpha never learns charlie's idle
+    farm directly.  With ``max_forward_hops=1`` alpha's surplus strands
+    at bravo, whose owners keep reclaiming their workstations; with 2
+    hops bravo passes it on to charlie, recovering aggregate
+    utilization, and bravo's relay fees show in the ledger.
     """
     horizon = days * DAY
-    if federation_config is None:
-        federation_config = FederationConfig()
-    configs = {
-        "baseline": replace(federation_config, max_forward_hops=1),
-        "relay": replace(federation_config,
-                         max_forward_hops=max_forward_hops),
-    }
-    runs: Dict[str, FederatedDeployment] = {}
-    for label, config in configs.items():
-        fed = build_relay_federation(seed=seed, sites=sites,
-                                     federation_config=config)
-        for site in sites:
-            _feed(fed.site(site.name).platform,
-                  site_demand(seed, site, horizon))
-        fed.run(until=horizon)
-        runs[label] = fed
-    baseline, relay = runs["baseline"], runs["relay"]
+    relay, baseline = _pair(_spec("federation-line", days), seed,
+                            max_forward_hops=1)
     return RelayResult(
         days=days,
         baseline_by_site=baseline.site_utilization(0, horizon),
@@ -482,29 +214,6 @@ def run_relay_experiment(
 
 
 # -- WAN-partition resilience ----------------------------------------------
-
-
-def default_partition_schedule(horizon: float,
-                               first_down: float = 30 * MINUTE,
-                               downtime: float = 20 * MINUTE,
-                               uptime: float = 30 * MINUTE,
-                               ) -> FaultSchedule:
-    """The experiment's flapping-WAN failure trace.
-
-    Both of "north"'s links (to "south" and to "east") flap on the
-    same windows, so the overloaded campus is periodically *fully
-    isolated* — the hard case: no alternate route, in-flight
-    replication dies, forward handshakes lose legs, completion notices
-    go missing until the heal-time reconciliation pass.  Windows stop
-    two hours before the horizon so every outage heals (and reconciles)
-    inside the measured run.
-    """
-    until = max(first_down, horizon - 2 * HOUR)
-    south = FaultSchedule.flapping(
-        "north", "south", first_down, downtime, uptime, until)
-    east = FaultSchedule.flapping(
-        "north", "east", first_down, downtime, uptime, until)
-    return south.merged(east)
 
 
 @dataclass
@@ -561,64 +270,42 @@ class PartitionResult:
         return rows
 
 
-def _run_federated_phase(
-    seed: int,
-    sites: Sequence[FederationSiteSpec],
-    horizon: float,
-    schedule: Optional[FaultSchedule] = None,
-    federation_config: Optional[FederationConfig] = None,
-) -> FederatedDeployment:
-    fed = build_federation(seed=seed, sites=sites,
-                           federation_config=federation_config)
-    if schedule is not None:
-        fed.inject_faults(schedule)
-    for site in sites:
-        _feed(fed.site(site.name).platform,
-              site_demand(seed, site, horizon))
-    fed.run(until=horizon)
-    return fed
+def _flapping_outages(horizon: float) -> Tuple[OutageSpec, ...]:
+    """Both of north's links down 20 min in every 50 from minute 30.
+
+    The overloaded campus is periodically *fully isolated*, the hard
+    case: no alternate route, in-flight replication dies, forward
+    handshakes lose legs, completion notices go missing until the
+    heal-time reconciliation pass.  Windows stop two hours before the
+    horizon so every outage heals (and reconciles) inside the run.
+    """
+    until = max(30 * MINUTE, horizon - 2 * HOUR)
+    return tuple(
+        OutageSpec(a="north", b=peer, start_hour=window.start / HOUR,
+                   duration_minutes=window.duration / MINUTE)
+        for peer in ("south", "east")
+        for window in FaultSchedule.flapping(
+            "north", peer, 30 * MINUTE, 20 * MINUTE, 30 * MINUTE,
+            until).windows)
 
 
-def _event_total(fed: FederatedDeployment, kind: str) -> int:
-    return sum(handle.platform.events.count(kind)
-               for handle in fed.sites.values())
+def run_partition_experiment(seed: int = 42,
+                             days: float = 1.5) -> PartitionResult:
+    """The mesh over a stable WAN vs the same WAN flapping.
 
-
-def _completed_once(fed: FederatedDeployment) -> int:
-    """Jobs that completed at exactly one campus, federation-wide."""
-    return sum(1 for count in fed.completion_counts().values()
-               if count == 1)
-
-
-def run_partition_experiment(
-    seed: int = 42,
-    days: float = 1.5,
-    sites: Sequence[FederationSiteSpec] = FEDERATION_SITES,
-    schedule: Optional[FaultSchedule] = None,
-    federation_config: Optional[FederationConfig] = None,
-) -> PartitionResult:
-    """Federated utilization under a flapping WAN link.
-
-    Two federated runs over identical demand traces: a stable WAN, and
-    the same WAN with :func:`default_partition_schedule` (or a caller-
-    supplied schedule) severing and healing links mid-run.  The point
-    is *graceful* degradation: utilization dips while the overloaded
-    campus is isolated, but every job still executes at most once, no
-    completion notice is permanently lost, and all reconciliation work
-    drains by the horizon.
+    The point is *graceful* degradation: utilization dips while the
+    overloaded campus is isolated, but every job still executes at
+    most once, no completion notice is permanently lost, and all
+    reconciliation work drains by the horizon.
     """
     horizon = days * DAY
-    if schedule is None:
-        schedule = default_partition_schedule(horizon)
-
-    stable = _run_federated_phase(seed, sites, horizon,
-                                  federation_config=federation_config)
-    flapping = _run_federated_phase(seed, sites, horizon, schedule=schedule,
-                                    federation_config=federation_config)
+    outages = _flapping_outages(horizon)
+    stable, flapping = _pair(_spec("federation-mesh", days), seed,
+                             outages=outages)
     return PartitionResult(
         days=days,
-        outages_injected=len(schedule.windows),
-        downtime_seconds=schedule.total_downtime,
+        outages_injected=len(outages),
+        downtime_seconds=sum(o.duration_minutes for o in outages) * MINUTE,
         stable_by_site=stable.site_utilization(0, horizon),
         flapping_by_site=flapping.site_utilization(0, horizon),
         stable_overall=stable.aggregate_utilization(0, horizon),
@@ -716,52 +403,33 @@ class ByzantineResult:
         return rows
 
 
-def run_byzantine_experiment(
-    seed: int = 42,
-    days: float = 1.0,
-    byzantine_site: str = "east",
-    mode: str = "forge",
-    sites: Sequence[FederationSiteSpec] = FEDERATION_SITES,
-    federation_config: Optional[FederationConfig] = None,
-) -> ByzantineResult:
-    """One adversarial campus vs the all-honest verification baseline.
+def run_byzantine_experiment(seed: int = 42,
+                             days: float = 1.0) -> ByzantineResult:
+    """East forging chain entries vs the all-honest verified mesh.
 
-    The adversary defaults to ``east`` (the in-between campus) so the
-    federation's main forwarding artery — north's surplus draining to
-    south's farm — survives the quarantine, which is exactly the
+    The adversary is ``east`` (the in-between campus), so the
+    federation's main forwarding artery (north's surplus draining to
+    south's farm) survives the quarantine, which is exactly the
     honest-throughput-retention claim under test.  ``forge`` is the
-    default lie because it self-propagates over chain gossip: detection
+    lie because it self-propagates over chain gossip: detection
     latency is a property of the protocol, not of the demand trace.
     """
-    if not any(site.name == byzantine_site for site in sites):
-        raise ValueError(f"unknown byzantine site {byzantine_site!r}")
     horizon = days * DAY
-    runs: Dict[str, FederatedDeployment] = {}
-    for label in ("baseline", "byzantine"):
-        fed = build_federation(seed=seed, sites=sites,
-                               federation_config=federation_config)
-        fed.enable_ledger_verification()
-        if label == "byzantine":
-            fed.inject_faults(FaultSchedule(
-                windows=(FaultWindow(mode, byzantine_site),)))
-        for site in sites:
-            _feed(fed.site(site.name).platform,
-                  site_demand(seed, site, horizon))
-        fed.run(until=horizon)
-        runs[label] = fed
-    baseline, adversarial = runs["baseline"], runs["byzantine"]
+    adversary = AdversarySpec(site="east", mode="forge")
+    spec = replace(_spec("federation-mesh", days), verify_ledger=True)
+    baseline, adversarial = _pair(spec, seed, adversaries=(adversary,))
 
     interval = adversarial.federation_config.gossip_interval
-    honest = [site.name for site in sites if site.name != byzantine_site]
+    honest = [site.name for site in spec.sites if site.name != adversary.site]
     detection: Dict[str, float] = {}
     states: Dict[str, str] = {}
     rejected: Dict[str, int] = {}
     for name in honest:
         trust = adversarial.site(name).gateway.trust
-        detected = trust.detected_at.get(byzantine_site)
+        detected = trust.detected_at.get(adversary.site)
         if detected is not None:
             detection[name] = detected / interval
-        states[name] = trust.state(byzantine_site).value
+        states[name] = trust.state(adversary.site).value
         chain = adversarial.site(name).gateway.sharechain
         for reason, count in chain.rejected.items():
             rejected[reason] = rejected.get(reason, 0) + count
@@ -772,8 +440,8 @@ def run_byzantine_experiment(
 
     return ByzantineResult(
         days=days,
-        byzantine_site=byzantine_site,
-        mode=mode,
+        byzantine_site=adversary.site,
+        mode=adversary.mode,
         gossip_interval=interval,
         baseline_completed=_completed_once(baseline),
         baseline_rejected_total=sum(

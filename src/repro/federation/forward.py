@@ -1065,9 +1065,7 @@ class ForwardProtocol:
             token_seq=self._token_seq,
             records={job_id: _durable(record)
                      for job_id, record in self.records.items()},
-            counters={name: getattr(owner, name)
-                      for owner in (self, gateway.gossip)
-                      for name in owner.COUNTERS},
+            counters={name: getattr(self, name) for name in self.COUNTERS},
         )
         gateway.vault.store("gateway", snap, snap.nbytes)
 

@@ -111,7 +111,7 @@ class FederationGateway:
     def _start(self, snapshot: Optional[GatewaySnapshot]) -> None:
         """Start both protocols (from ``snapshot`` after a crash), then
         resume the adversary's forging loop, in that order."""
-        self.gossip.restart(snapshot)
+        self.gossip.restart()
         self.forward.restart(snapshot)
         if self.adversary is not None:
             self.adversary.resume()

@@ -23,7 +23,7 @@ from ..errors import NetworkError
 from ..sim import Event, Interrupt, Process, due_time, grid_point
 from ..units import HOUR
 from .ledger import CreditEntry
-from .messages import CapacityDigest, GatewaySnapshot
+from .messages import CapacityDigest
 from .sharechain import (BENIGN_REASONS, DEFINITIVE_REASONS, SignedEntry,
                          TrustState)
 
@@ -33,9 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 class Gossip:
     """One gateway's digest gossip, chain sync and trust reactions."""
-
-    #: Counters the gateway snapshot carries across a restart.
-    COUNTERS = ("gossip_rounds", "digests_pushed", "digest_push_failures")
 
     def __init__(self, gateway: "FederationGateway"):
         self.gateway = gateway
@@ -91,12 +88,8 @@ class Gossip:
         self._wake: Optional[Event] = None
         self._timer.cancel()
 
-    def restart(self, snapshot: Optional[GatewaySnapshot]) -> None:
-        """Restore the counters from ``snapshot`` (if any) and start a
-        new loop; the first start passes ``None``."""
-        if snapshot is not None:
-            for name in self.COUNTERS:
-                setattr(self, name, snapshot.counters.get(name, 0))
+    def restart(self) -> None:
+        """Start a new loop; the counters survived the crash."""
         self.loop = self.gateway.spawn(self._loop(), f"gossip:{self.site}")
 
     # -- the round --------------------------------------------------------

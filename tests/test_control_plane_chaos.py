@@ -265,6 +265,26 @@ def test_snapshot_roundtrip_with_empty_books():
     _assert_invariants(fed, [blocker, victim])
 
 
+def test_restart_never_rolls_back_the_gossip_counters():
+    """The gossip counters feed Prometheus counters, so a crash and
+    restart must not move them backwards; they outlive the crash in
+    memory, so no snapshot may restore them either."""
+    fed, north, south = _pair(seed=5)
+    fed.run(until=2 * HOUR)
+    gossip = north.gateway.gossip
+    names = ("gossip_rounds", "digests_pushed", "digest_push_failures")
+    before = {name: getattr(gossip, name) for name in names}
+    assert before["digests_pushed"] > 0
+    north.gateway.crash()
+    fed.run(until=fed.env.now + 60)
+    north.gateway.restart()
+    fed.run(until=fed.env.now + 1)
+    after = {name: getattr(gossip, name) for name in names}
+    assert all(after[name] >= before[name] for name in names), \
+        (before, after)
+    assert fed.audit() == []
+
+
 def test_same_instant_restart_mid_round_leaves_one_loop_each():
     """A crash and restart in one instant, taken while the gossip round
     waits on a push: the old loops die, exactly one gossip and one

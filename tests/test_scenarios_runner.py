@@ -1,12 +1,17 @@
 """Scenario compilation and seed-swept execution with invariants."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import handler_errors
+from repro.experiments import load_scenario
 from repro.observability.trace import TraceContext
 from repro.scenarios import (
+    AdversarySpec,
     CrashSpec,
+    ScenarioReport,
     ScenarioRunner,
     ScenarioSpec,
     compile_scenario,
@@ -69,8 +74,36 @@ def test_trace_override():
 
 # -- the runner --------------------------------------------------------------
 
-def test_three_seed_chaos_sweep_holds_invariants():
-    report = ScenarioRunner(chaos_scenario(), seeds=(1, 2, 3)).sweep()
+def checked_in(name, hours=24.0, **change):
+    """A checked-in federation scenario, traced, over a short horizon."""
+    return replace(load_scenario(name), duration_hours=hours, trace=True,
+                   **change)
+
+
+#: The chaos scenario, the federation experiments' checked-in
+#: scenarios, and the Byzantine experiment's forging variant.
+SWEEPS = {
+    "chaos-sweep": chaos_scenario,
+    "federation-mesh": lambda: checked_in("federation-mesh"),
+    "federation-line": lambda: checked_in("federation-line"),
+    # Forged entries multiply with the horizon, so this one runs half.
+    "federation-mesh-forge": lambda: checked_in(
+        "federation-mesh", hours=12.0,
+        adversaries=(AdversarySpec("east", "forge"),)),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_three_seed_sweep_holds_invariants(name):
+    spec = SWEEPS[name]()
+    assert ScenarioSpec.from_json(spec.to_json()) == spec
+    runner = ScenarioRunner(spec, seeds=(1, 2, 3))
+    results = []
+    for seed in runner.seeds:
+        compiled = compile_scenario(spec, seed=seed)
+        results.append(runner.run_seed(seed, compiled))
+        assert handler_errors.unexpected(compiled.deployment) == {}
+    report = ScenarioReport(spec=spec, results=results)
     assert report.ok, report.violations
     aggregate = report.aggregate()
     assert aggregate["seeds"] == 3
@@ -82,7 +115,8 @@ def test_three_seed_chaos_sweep_holds_invariants():
         assert summary["invariants"]["duplicate_executions"] == 0
         assert summary["invariants"]["orphan_spans"] == 0
         assert abs(summary["invariants"]["ledger_sum_gpu_hours"]) < 1e-6
-        assert summary["sessions"]["flash_crowd"] > 0
+        assert (summary["sessions"]["flash_crowd"] > 0) \
+            == bool(spec.flash_crowds)
 
 
 def test_same_seed_produces_identical_summary():
