@@ -341,7 +341,8 @@ class ByzantineResult:
     days: float
     byzantine_site: str
     mode: str
-    gossip_interval: float
+    #: The gossip tick (``Gossip.tick``) detection rounds count in.
+    gossip_tick: float
     #: All-honest verification run: every entry must verify.
     baseline_completed: int
     baseline_rejected_total: int
@@ -419,8 +420,8 @@ def run_byzantine_experiment(seed: int = 42,
     spec = replace(_spec("federation-mesh", days), verify_ledger=True)
     baseline, adversarial = _pair(spec, seed, adversaries=(adversary,))
 
-    interval = adversarial.federation_config.gossip_interval
     honest = [site.name for site in spec.sites if site.name != adversary.site]
+    tick = adversarial.site(honest[0]).gateway.gossip.tick
     detection: Dict[str, float] = {}
     states: Dict[str, str] = {}
     rejected: Dict[str, int] = {}
@@ -428,7 +429,7 @@ def run_byzantine_experiment(seed: int = 42,
         trust = adversarial.site(name).gateway.trust
         detected = trust.detected_at.get(adversary.site)
         if detected is not None:
-            detection[name] = detected / interval
+            detection[name] = detected / tick
         states[name] = trust.state(adversary.site).value
         chain = adversarial.site(name).gateway.sharechain
         for reason, count in chain.rejected.items():
@@ -442,7 +443,7 @@ def run_byzantine_experiment(seed: int = 42,
         days=days,
         byzantine_site=adversary.site,
         mode=adversary.mode,
-        gossip_interval=interval,
+        gossip_tick=tick,
         baseline_completed=_completed_once(baseline),
         baseline_rejected_total=sum(
             handle.gateway.sharechain.rejected_total

@@ -53,9 +53,9 @@ from .sharechain import SiteKeyring
 #: violation.
 LEDGER_TOLERANCE = 1e-6
 
-#: Gossip intervals within which every honest verifying site must
-#: quarantine a chain-visible forger (generous: fabrication, one
-#: chain-gossip hop and the strike are all sub-interval).
+#: Gossip ticks (``Gossip.tick``) within which every honest verifying
+#: site must quarantine a chain-visible forger (generous: fabrication,
+#: one chain-gossip hop and the strike are all sub-tick).
 DETECTION_ROUNDS_BOUND = 10
 
 
@@ -462,7 +462,7 @@ class FederatedDeployment:
           view conservation (the verified view sums to zero);
         * bounded detection — every honest verifying site quarantined
           each chain-visible Byzantine window's site within
-          :data:`DETECTION_ROUNDS_BOUND` gossip rounds of the window
+          :data:`DETECTION_ROUNDS_BOUND` of its gossip ticks of the window
           opening (windows too recent to judge are skipped).
 
         Read-only: it emits no event, draws no random number and
@@ -521,16 +521,16 @@ class FederatedDeployment:
         byzantine = [window for window in self.fault_windows
                      if window.kind in BYZANTINE_MODES]
         adversarial = {window.target for window in byzantine}
-        interval = self.federation_config.gossip_interval
-        bound = DETECTION_ROUNDS_BOUND * interval
         for window in byzantine:
             # Other lies need real traffic to surface, so no generic
             # bound on their detection latency exists.
-            if (window.kind not in CHAIN_VISIBLE_MODES
-                    or window.start + bound > self.env.now):
+            if window.kind not in CHAIN_VISIBLE_MODES:
                 continue
             for name, gateway in verifying.items():
-                if name in adversarial:
+                # Counted in the rounds the observer's gossip runs.
+                bound = DETECTION_ROUNDS_BOUND * gateway.gossip.tick
+                if (name in adversarial
+                        or window.start + bound > self.env.now):
                     continue
                 detected = gateway.trust.detected_at.get(window.target)
                 if detected is None:

@@ -88,6 +88,119 @@ def _advance(leg, phase) -> None:
     leg.state = phase
 
 
+# -- the protocol's decisions -----------------------------------------------
+#
+# Pure functions of a job's row and the facts a message carries: no
+# kernel, no effects.  ``ForwardProtocol`` performs what they decide,
+# and ``tests/test_forward_model.py`` model-checks them.
+
+#: What the resolution table says of a leg the host provably never
+#: committed: drop it and put the job back in the local queue.
+REQUEUE = "requeue"
+
+#: The sender's resolution table: the phases a leg walks when its host
+#: reports a fate.  A pair not listed leaves the leg where it is.
+_RESOLVE = {
+    (DelegationState.UNKNOWN, "absent"): REQUEUE,
+    (DelegationState.UNKNOWN, "committed"): (DelegationState.COMMITTED,),
+    (DelegationState.UNKNOWN, "completed"): (DelegationState.COMMITTED,
+                                             DelegationState.COMPLETED),
+    (DelegationState.UNKNOWN, "cancelled"): (DelegationState.COMMITTED,
+                                             DelegationState.CANCELLED),
+    (DelegationState.COMMITTED, "completed"): (DelegationState.COMPLETED,),
+    (DelegationState.COMMITTED, "cancelled"): (DelegationState.CANCELLED,),
+    # A host that no longer knows a committed job cannot run it.
+    (DelegationState.COMMITTED, "absent"): (DelegationState.CANCELLED,),
+    (DelegationState.CANCELLED, "completed"): (DelegationState.COMPLETED,),
+    (DelegationState.COMPLETED, "cancelled"): (DelegationState.CANCELLED,),
+}
+
+
+def resolve(phase: DelegationState, reported: str):
+    """The phases a sender leg in ``phase`` walks when its host reports
+    the fate ``reported`` (empty: stay), or :data:`REQUEUE` — for probe
+    replies, cancel replies and completion notices alike."""
+    return _RESOLVE.get((phase, reported), ())
+
+
+def completed(record: Optional[JobRecord], completed_at: Optional[float],
+              site: str) -> dict:
+    """The one ``completed`` fate: when the job finished, and where —
+    at ``site``, unless ``record`` shows it was relayed onward; then
+    the downstream leg knows the site that ran it."""
+    leg = record.out if record is not None else None
+    if leg is not None and leg.state not in JOURNAL_STATES:
+        site = leg.host_site or leg.dest_site
+    return {"state": "completed", "completed_at": completed_at,
+            "host_site": site}
+
+
+def fate(record: Optional[JobRecord], state, site: str) -> dict:
+    """The host's fate of a job, its answer to both ``forward-status``
+    and ``cancel-job``: ``pending`` while the commit's pull runs,
+    ``absent`` when no commit landed, else what its local job ``state``
+    says — ``cancelled``, ``completed`` or still ``committed``."""
+    if record is not None and record.host is not None and (
+            record.host.state is HostingState.COMMITTING):
+        return {"state": "pending"}
+    if state is None:
+        return {"state": "absent"}
+    if state.status is JobStatus.CANCELLED:
+        return {"state": "cancelled"}
+    if state.is_done:
+        return completed(record, state.completed_at, site)
+    return {"state": "committed"}
+
+
+def probe_reply(record: Optional[JobRecord], state, site: str,
+                token: Optional[str]):
+    """The ``forward-status`` reply and the lease it releases.  An
+    ``absent`` answer releases the probe's lease, so a commit that
+    arrives after it can no longer land: that makes it a guarantee."""
+    reply = fate(record, state, site)
+    return reply, (token if reply["state"] == "absent" else None)
+
+
+def commit_reply(host: Optional[HostRecord], token: str,
+                 leased: bool) -> Optional[dict]:
+    """The commit decision for ``token``, given the job's inbound leg
+    and whether the token's lease is held: ``None`` to pull the
+    payload, else the answer — an idempotent replay of a commit made
+    (never schedule twice), or ``lease-expired`` (nothing committed;
+    the sender may requeue).  A replay while the pull runs raises
+    :class:`RpcError`: its answer is as ambiguous as a lost ack."""
+    if host is not None and host.claim_token == token:
+        if host.state is HostingState.COMMITTING:
+            raise RpcError(f"commit {token} is still pulling")
+        return {"committed": True}
+    return None if leased else {"committed": False, "reason": "lease-expired"}
+
+
+def decline_reason(offer: ForwardOffer, site: str,
+                   record: Optional[JobRecord], state, *, blocked: bool,
+                   hosts: bool, fits: bool) -> Optional[str]:
+    """Offer admission: the first reason ``site`` declines ``offer``,
+    or ``None`` to lease it a card.  A quarantined sender's work may be
+    fabricated; an opted-out site hosts nothing; a job never revisits
+    a site on its relay path; a job whose :func:`fate` here is not
+    ``absent`` is resolved by a probe, never re-offered; and the live
+    digest must fit it (the reason-less decline, ``no-headroom``)."""
+    return next((reason for reason, failed in (
+        ("quarantined", blocked), ("opted-out", not hosts),
+        ("relay-loop", site in offer.relay_path),
+        ("already-hosted", fate(record, state, site)["state"] != "absent"),
+        ("no-headroom", not fits)) if failed), None)
+
+
+def classify_journal(phase: DelegationState):
+    """What recovery does with a sender leg a crash left in the
+    journal: an ``OFFERED`` leg died in phase 1, so nothing durable
+    exists at the peer and it requeues; a ``CLAIMED`` leg's commit may
+    have landed, so it parks ``UNKNOWN`` for the probe."""
+    return REQUEUE if phase is DelegationState.OFFERED else (
+        DelegationState.UNKNOWN)
+
+
 def is_unknown(record: JobRecord) -> bool:
     """The sender leg is parked as unknown outcome."""
     return (record.out is not None
@@ -309,9 +422,6 @@ class ForwardProtocol:
         except NetworkError:
             reply = {}
         if not reply.get("accepted"):
-            if tracer is not None:
-                tracer.finish(fwd, status="declined",
-                              reason=reply.get("reason", "unreachable"))
             if gateway.trust is not None and reply and "reason" not in reply:
                 # The peer advertised capacity fresh enough for the
                 # policy to pick it, yet declined for headroom (the
@@ -320,9 +430,7 @@ class ForwardProtocol:
                 # a circumstantial, threshold-gated strike.
                 gateway.gossip.strike(dest, "capacity-mismatch",
                                       definitive=False)
-            self.declined += 1
-            self._requeue(record, "job-forward-declined")
-            return
+            return self._declined(record, reply.get("reason", "unreachable"))
         token = reply["claim_token"]
         state = self.platform.coordinator.jobs.get(spec.job_id)
         if state is not None and state.status is JobStatus.CANCELLED:
@@ -359,19 +467,13 @@ class ForwardProtocol:
         except NetworkError:
             # The forward span stays open: the handshake's outcome is
             # ambiguous until a reconciliation probe resolves it.
-            _advance(leg, DelegationState.UNKNOWN)
+            self._park_unknown(leg)
             self.checkpoint()
-            self.platform.events.emit("job-forward-unknown",
-                                      job_id=spec.job_id, dest=dest)
             self._kick_reconcile()
             return
         if not commit.get("committed"):
-            if tracer is not None:
-                tracer.finish(fwd, status="declined",
-                              reason=commit.get("reason", "not-committed"))
-            self.declined += 1
-            self._requeue(record, "job-forward-declined")
-            return
+            return self._declined(record,
+                                  commit.get("reason", "not-committed"))
         elapsed = self.env.now - started
         self.wan_transfer_seconds += elapsed
         leg.transfer_seconds = elapsed
@@ -397,6 +499,14 @@ class ForwardProtocol:
             self._kick_reconcile()
             return True
         return False
+
+    def _declined(self, record: JobRecord, reason: str) -> None:
+        """The peer declined the handshake (or it failed safely)."""
+        tracer = self.gateway.tracer
+        if tracer is not None:
+            tracer.finish(record.out.trace, status="declined", reason=reason)
+        self.declined += 1
+        self._requeue(record, "job-forward-declined")
 
     def _requeue(self, record: JobRecord, event: str) -> None:
         """End a sender leg the peer provably never committed (declined,
@@ -477,50 +587,28 @@ class ForwardProtocol:
             self.gateway.local_digest(), model.gpu_memory,
             model.min_compute_capability)
 
-    def _trace_admission(self, offer: ForwardOffer, accepted: bool,
-                         reason: str = "") -> None:
-        """Record the host-side admission decision as an instant span."""
-        tracer = self.gateway.tracer
-        if tracer is not None:
-            tracer.event("admission", offer.trace, site=self.site,
-                         status="accepted" if accepted else "declined",
-                         reason=reason)
-
     def handle_offer(self, offer: ForwardOffer) -> dict:
         job_id = offer.spec.job_id
         trust = self.gateway.trust
-        if trust is not None and trust.blocks(offer.sender_site):
-            # A quarantined peer gets no capacity lease (its work may
-            # be fabricated); already-committed jobs still run — the
-            # isolation is forward-looking only.
-            self._trace_admission(offer, False, "quarantined")
-            return {"accepted": False, "reason": "quarantined"}
-        if not self.config.host_foreign_jobs:
-            # Opted out of hosting: our digest already advertises no
-            # capacity, but a peer acting on a pre-opt-out digest (or
-            # probing blindly) still gets a clean decline.
-            self._trace_admission(offer, False, "opted-out")
-            return {"accepted": False, "reason": "opted-out"}
-        if self.site in offer.relay_path:
-            # The job already passed through here; the sender's policy
-            # should have excluded us — decline defensively rather
-            # than let a relay loop form.
-            self._trace_admission(offer, False, "relay-loop")
-            return {"accepted": False, "reason": "relay-loop"}
-        if (job_id in self.platform.coordinator.jobs
-                or self._inbound(job_id, HostingState.COMMITTING)):
-            # We already host (or are mid-commit of) this job; the
-            # origin should resolve its handshake via forward-status,
-            # never re-offer — decline defensively.
-            self._trace_admission(offer, False, "already-hosted")
-            return {"accepted": False, "reason": "already-hosted"}
-        if not self.accepts(offer.spec):
+        reason = decline_reason(
+            offer, self.site, self.records.get(job_id),
+            self.platform.coordinator.jobs.get(job_id),
+            blocked=trust is not None and trust.blocks(offer.sender_site),
+            hosts=self.config.host_foreign_jobs, fits=self.accepts(offer.spec))
+        tracer = self.gateway.tracer
+        if tracer is not None:  # the host-side decision, as an instant span
+            tracer.event("admission", offer.trace, site=self.site,
+                         status="declined" if reason else "accepted",
+                         reason=reason or "")
+        if reason == "no-headroom":
             self.platform.events.emit("job-forward-rejected",
                                       job_id=job_id,
                                       origin=offer.origin_site)
-            self._trace_admission(offer, False, "no-headroom")
+            # No reason given: from a peer whose digest advertised the
+            # card, this decline is the over-report signal.
             return {"accepted": False}
-        self._trace_admission(offer, True)
+        if reason is not None:
+            return {"accepted": False, "reason": reason}
         token = f"{self.site}#{self._token_seq}"
         self._token_seq += 1
         # The lease reserves the accepted card in our digest until the
@@ -551,16 +639,12 @@ class ForwardProtocol:
     def handle_commit(self, envelope: ForwardEnvelope) -> Generator:
         job_id = envelope.spec.job_id
         token = envelope.claim_token
-        done = self._inbound(job_id, HostingState.HOSTED, HostingState.SETTLED)
-        if done is not None and done.claim_token == token:
-            # Idempotent replay: we committed this exact handshake and
-            # the acknowledgement was lost.  Do NOT schedule again.
-            return {"committed": True}
-        offer = self._drop_offer(token)
-        if offer is None:
-            # Lease expired (or was never granted): nothing committed,
-            # so the origin can safely requeue.
-            return {"committed": False, "reason": "lease-expired"}
+        record = self.records.get(job_id)
+        reply = commit_reply(record.host if record is not None else None,
+                             token, token in self._offers)
+        if reply is not None:
+            return reply
+        self._drop_offer(token)
         # Pull the bulk bytes (checkpoint snapshot or dataset) over the
         # WAN from the *previous hop* — on a relayed forward the data
         # lives at the relay, not the origin; the handler runs inside
@@ -636,63 +720,31 @@ class ForwardProtocol:
         return "ok"
 
     def handle_status(self, payload: dict) -> dict:
-        """Idempotent probe: what happened to this handshake here?
-
-        ``absent`` is a *guarantee* that the commit never happened and
-        never will (an unclaimed lease for the token is released), so
-        the origin may requeue without risking a duplicate.
-        """
+        """Idempotent probe: the job's :func:`fate` here."""
         job_id = payload["job_id"]
-        if self._inbound(job_id, HostingState.COMMITTING):
-            return {"state": "pending"}
-        state = self.platform.coordinator.jobs.get(job_id)
-        if state is None:
-            # The origin abandoned this handshake; free the lease now
-            # instead of waiting for expiry.
-            self._drop_offer(payload.get("claim_token"))
-            return {"state": "absent"}
-        if state.status is JobStatus.CANCELLED:
-            return {"state": "cancelled"}
-        if state.is_done:
-            return {"state": "completed",
-                    "completed_at": state.completed_at,
-                    "host_site": self._host_of(job_id)}
-        return {"state": "committed"}
-
-    def _host_of(self, job_id: str) -> str:
-        """The site that actually ran a job done *from here*: this one,
-        unless we relayed it onward — then the downstream record knows
-        the true host, and probe/cancel replies must not claim it."""
-        record = self.delegation(job_id)
-        if record is not None:
-            return record.host_site or record.dest_site
-        return self.site
+        reply, lease = probe_reply(self.records.get(job_id),
+                                   self.platform.coordinator.jobs.get(job_id),
+                                   self.site, payload.get("claim_token"))
+        self._drop_offer(lease)
+        return reply
 
     def handle_cancel(self, payload: dict) -> Generator:
         """Cross-WAN cancellation of a job delegated to this site.
 
         Idempotent: re-delivery after a lost response reports the same
-        terminal outcome instead of acting twice, so the origin's
-        retry loop gives at-most-once *effect*.
+        :func:`fate` instead of acting twice, so the origin's retry
+        loop gives at-most-once *effect*.
         """
         job_id = payload["job_id"]
         coordinator = self.platform.coordinator
-        if (self._inbound(job_id, HostingState.COMMITTING)
-                or coordinator.is_dispatching(job_id)):
-            # Mid-commit or mid-dispatch: the job's fate is changing
-            # under us — ask the origin to retry shortly.
-            return {"pending": True}
+        if coordinator.is_dispatching(job_id):
+            # Mid-dispatch: the job's fate is changing under us — ask
+            # the origin to retry shortly.
+            return {"state": "pending"}
         state = coordinator.jobs.get(job_id)
-        if state is None:
-            return {"known": False}
-        if state.status is JobStatus.CANCELLED:
-            return {"cancelled": True}
-        if state.is_done:
-            # Completed before the cancellation arrived: report the
-            # race honestly rather than pretending to cancel.
-            return {"completed": True,
-                    "completed_at": state.completed_at,
-                    "host_site": self._host_of(job_id)}
+        reply = fate(self.records.get(job_id), state, self.site)
+        if reply["state"] != "committed":
+            return reply
         terminate = coordinator.cancel_job(job_id)
         if terminate is not None:
             try:
@@ -705,9 +757,7 @@ class ForwardProtocol:
                 # queued the notice — report the lost race, don't
                 # overwrite a finished job with CANCELLED.
                 self._check_alive()
-                return {"completed": True,
-                        "completed_at": state.completed_at,
-                        "host_site": self._host_of(job_id)}
+                return fate(self.records.get(job_id), state, self.site)
         state.status = JobStatus.CANCELLED
         hosted = self._inbound(job_id, HostingState.HOSTED)
         if hosted is not None:
@@ -719,7 +769,7 @@ class ForwardProtocol:
         # restart and the idempotent path above reports the outcome.
         # Settlement then happens in recovery, off the snapshot.
         self._check_alive()
-        return {"cancelled": True}
+        return {"state": "cancelled"}
 
     def _settle_foreign_cancellation(self, job_id: str,
                                      hosted: HostRecord, state) -> None:
@@ -769,26 +819,23 @@ class ForwardProtocol:
         self.platform.events.emit("foreign-job-completed", job_id=job_id,
                                   origin=origin,
                                   donated_gpu_hours=donated / HOUR)
-        completed_at = (state.completed_at if state.completed_at is not None
-                        else self.env.now)
         # The notice goes to the *previous hop* (on a relayed job that
         # is the relay, which chains it onward) and stays registered
         # until acknowledged, so a partitioned upstream receives it on
         # heal (reconciliation) instead of never.
         self._queue_completion_notice(
             job_id, upstream=relay_path[-1] if relay_path else origin,
-            completed_at=completed_at, host_site=self.site)
+            completed_at=(state.completed_at if state.completed_at
+                          is not None else self.env.now))
 
     def _queue_completion_notice(self, job_id: str, upstream: str,
-                                 completed_at: float,
-                                 host_site: str) -> None:
+                                 completed_at: float) -> None:
         """Register a completion notice toward the previous hop and
-        start delivering it: the one place the keep-until-acknowledged
-        payload is built, for a hosting site and a chaining relay."""
-        self.records[job_id].notice = (upstream, {
-            "job_id": job_id, "completed_at": completed_at,
-            "host_site": host_site,
-        })
+        start delivering it: the keep-until-acknowledged ``completed``
+        fate, from a hosting site or a chaining relay."""
+        record = self.records[job_id]
+        record.notice = (upstream, dict(
+            completed(record, completed_at, self.site), job_id=job_id))
         self.checkpoint()
         self.gateway.spawn(self._notify_upstream(job_id), f"notify:{job_id}")
 
@@ -812,31 +859,67 @@ class ForwardProtocol:
 
     def handle_job_complete(self, payload: dict):
         job_id = payload["job_id"]
-        # The host stamps completion when the last step finished; the
-        # notice's WAN flight time must not inflate makespan metrics.
-        completed_at = payload.get("completed_at", self.env.now)
-        self._apply_remote_completion(job_id, completed_at,
-                                      payload.get("host_site"))
+        record = self.records.get(job_id)
+        leg = record.out if record is not None else None
+        if leg is not None and leg.state in JOURNAL_STATES:
+            # The notice overtook the commit's ack: refuse it, and the
+            # host re-sends it once the handshake has resolved.
+            raise RpcError(f"the handshake for {job_id} is unresolved")
+        self._resolve(job_id, leg, payload, "job-complete")
         return "ok"
 
-    def _apply_remote_completion(self, job_id: str, completed_at: float,
-                                 host_site: Optional[str]) -> bool:
-        """Close the origin-side record of a delegated job (idempotent).
-
-        Returns ``False`` on a duplicate (the completion was already
-        applied — e.g. a re-sent notice after a lost acknowledgement).
-        """
-        record = self.delegation(job_id)
-        if record is not None:
-            if record.state is DelegationState.COMPLETED:
-                return False
-            if record.state is DelegationState.UNKNOWN:
+    def _resolve(self, job_id: str, leg: Optional[ForwardRecord],
+                 reply: dict, via: str) -> None:
+        """Apply a host's reported fate to this site's sender leg through
+        :func:`resolve`, ``via`` a ``forward-status`` or ``cancel-job``
+        reply or a ``job-complete`` notice.  A notice may find no open
+        delegation (``leg`` is ``None``); it still closes the local job."""
+        outcome = reply["state"]
+        steps = resolve(leg.state, outcome) if leg is not None else ()
+        tracer = self.gateway.tracer
+        if via == "forward-status" and tracer is not None:
+            tracer.event("probe", leg.trace, site=self.site,
+                         dest=leg.dest_site, outcome=outcome)
+        if steps == REQUEUE:
+            # Guaranteed not (and never to be) committed at the host:
+            # requeuing locally cannot duplicate the job.
+            if tracer is not None:
+                tracer.finish(leg.trace, status="absent")
+            self._requeue(self.records[job_id], "job-forward-requeued")
+            return
+        if outcome == "pending":
+            return  # mid-commit or mid-dispatch there; ask again later
+        if via == "cancel-job" and tracer is not None:
+            tracer.event("cancel-delivered", leg.trace, site=self.site,
+                         outcome=("lost-race" if outcome == "completed"
+                                  else "cancelled"))
+        if leg is not None and not steps:
+            return  # nothing new, e.g. a re-sent notice
+        # The host stamps completion when the last step finished; the
+        # notice's WAN flight time must not inflate makespan metrics.
+        completed_at = reply.get("completed_at", self.env.now)
+        host_site = reply.get("host_site")
+        for phase in steps:
+            if phase is DelegationState.COMMITTED:
                 # The commit-ack was lost but the host clearly
-                # committed; the completion resolves the handshake.
-                self._committed(record)
-            record.completed_at = completed_at
-            record.host_site = host_site or record.dest_site
-            _advance(record, DelegationState.COMPLETED)
+                # committed; its report resolves the handshake.
+                self._committed(leg)
+                continue
+            if phase is DelegationState.COMPLETED:
+                leg.completed_at = completed_at
+                leg.host_site = host_site or leg.dest_site
+            _advance(leg, phase)
+        if outcome == "committed":
+            return
+        if leg is not None:
+            leg.cancel_pending = False  # the job's fate is final
+        if outcome != "completed":
+            self.checkpoint()
+            if via == "cancel-job":
+                self.platform.coordinator.finish_trace(job_id, "cancelled")
+                self.platform.events.emit("job-cancel-delivered",
+                                          job_id=job_id, dest=leg.dest_site)
+            return
         # At the true origin this closes the root job span; at a relay
         # the host span already closed as "relayed" and this is a no-op.
         self.platform.coordinator.finish_trace(job_id, "completed")
@@ -848,8 +931,6 @@ class ForwardProtocol:
             if state.status is JobStatus.CANCELLED:
                 # The cancellation raced the completion and lost; the
                 # user's cancellation record survives.
-                if record is not None:
-                    record.cancel_pending = False
                 self.platform.events.emit("job-cancel-lost-race",
                                           job_id=job_id, dest=host_site)
             else:
@@ -857,14 +938,19 @@ class ForwardProtocol:
         self.checkpoint()
         self.platform.events.emit("job-remote-completed", job_id=job_id,
                                   host=host_site)
-        if record is not None and record.upstream is not None:
+        if leg is not None and leg.upstream is not None:
             # We were a relay hop for this job: chain the completion
             # notice toward the previous hop with the *host's* stamp
             # intact, under the same keep-until-acknowledged rule.
-            self._queue_completion_notice(
-                job_id, upstream=record.upstream, completed_at=completed_at,
-                host_site=host_site or record.dest_site)
-        return True
+            self._queue_completion_notice(job_id, leg.upstream,
+                                          completed_at)
+
+    def _park_unknown(self, leg: ForwardRecord) -> None:
+        """CLAIMED → UNKNOWN: the commit may have landed (its ack was
+        lost, or a crash hid it), so the probe resolves the leg."""
+        _advance(leg, DelegationState.UNKNOWN)
+        self.platform.events.emit("job-forward-unknown", job_id=leg.job_id,
+                                  dest=leg.dest_site)
 
     def _committed(self, leg: ForwardRecord, live: bool = False) -> None:
         """The handshake landed: on its ``live`` commit-ack, or later,
@@ -961,7 +1047,8 @@ class ForwardProtocol:
             record = self.delegation(job_id)
             if record is None or record.state is not DelegationState.UNKNOWN:
                 continue
-            yield from self._probe_delegation(job_id, record)
+            yield from self._ask(job_id, record, "forward-status", {
+                "job_id": job_id, "claim_token": record.claim_token})
         # 2. Deliver pending cross-site cancellations.
         #    A journaled or UNKNOWN handshake must resolve first.
         for job_id in self._ids(is_cancelling):
@@ -972,73 +1059,22 @@ class ForwardProtocol:
                                 DelegationState.CANCELLED):
                 record.cancel_pending = False
             elif record.state is DelegationState.COMMITTED:
-                yield from self._send_cancel(job_id, record)
+                yield from self._ask(job_id, record, "cancel-job", {
+                    "job_id": job_id, "origin_site": self.site})
         # 3. Re-send completion notices the previous hop never
         #    acknowledged.
         for job_id in self._ids(has_notice):
             yield from self._notify_upstream(job_id)
 
-    def _probe_delegation(self, job_id: str,
-                          record: ForwardRecord) -> Generator:
+    def _ask(self, job_id: str, leg: ForwardRecord, method: str,
+             payload: dict) -> Generator:
+        """Ask the host for the job's fate — a ``forward-status`` probe
+        or a ``cancel-job`` — and resolve the leg by its reply."""
         try:
-            reply = yield self.gateway.call(
-                record.dest_site, "forward-status",
-                {"job_id": job_id, "claim_token": record.claim_token})
-        except NetworkError:
-            return  # still unreachable; retried next pass
-        outcome = reply.get("state")
-        tracer = self.gateway.tracer
-        if tracer is not None:
-            tracer.event("probe", record.trace, site=self.site,
-                         dest=record.dest_site, outcome=outcome or "lost")
-        if outcome == "pending":
-            return  # host mid-commit; stay unknown and re-probe later
-        if outcome == "absent":
-            # Guaranteed not (and never to be) committed at the host:
-            # requeuing locally cannot duplicate the job.
-            if tracer is not None:
-                tracer.finish(record.trace, status="absent")
-            self._requeue(self.records[job_id], "job-forward-requeued")
-            return
-        # The host committed: resolve the handshake.
-        if record.state is DelegationState.UNKNOWN:
-            self._committed(record)
-        if outcome == "completed":
-            self._apply_remote_completion(
-                job_id, reply.get("completed_at", self.env.now),
-                reply.get("host_site", record.dest_site))
-        elif outcome == "cancelled":
-            _advance(record, DelegationState.CANCELLED)
-            record.cancel_pending = False
-            self.checkpoint()
-
-    def _send_cancel(self, job_id: str, record: ForwardRecord) -> Generator:
-        try:
-            reply = yield self.gateway.call(
-                record.dest_site, "cancel-job",
-                {"job_id": job_id, "origin_site": self.site})
+            reply = yield self.gateway.call(leg.dest_site, method, payload)
         except NetworkError:
             return  # unreachable; retried next pass (host is idempotent)
-        if reply.get("pending"):
-            return  # host mid-commit/dispatch; retry shortly
-        record.cancel_pending = False
-        tracer = self.gateway.tracer
-        if reply.get("completed"):
-            if tracer is not None:
-                tracer.event("cancel-delivered", record.trace,
-                             site=self.site, outcome="lost-race")
-            self._apply_remote_completion(
-                job_id, reply.get("completed_at", self.env.now),
-                reply.get("host_site", record.dest_site))
-        else:
-            _advance(record, DelegationState.CANCELLED)
-            self.checkpoint()
-            if tracer is not None:
-                tracer.event("cancel-delivered", record.trace,
-                             site=self.site, outcome="cancelled")
-                self.platform.coordinator.finish_trace(job_id, "cancelled")
-            self.platform.events.emit("job-cancel-delivered",
-                                      job_id=job_id, dest=record.dest_site)
+        self._resolve(job_id, leg, reply, method)
 
     # -- crash / restart --------------------------------------------------
 
@@ -1104,17 +1140,10 @@ class ForwardProtocol:
         for job_id in self._ids(lambda record: record.out is not None
                                 and record.out.state in JOURNAL_STATES):
             record = self.records[job_id]
-            if record.out.state is DelegationState.OFFERED:
-                # Phase-1 crash: nothing durable happened at the peer
-                # beyond an expiring lease — requeue locally.
+            if classify_journal(record.out.state) == REQUEUE:
                 self._requeue(record, "job-forward-requeued")
-                continue
-            # Phase-2 crash: the commit may have landed.  Park the
-            # delegation as unknown outcome; the probe resolves it.
-            _advance(record.out, DelegationState.UNKNOWN)
-            self.platform.events.emit("job-forward-unknown",
-                                      job_id=job_id,
-                                      dest=record.out.dest_site)
+            else:
+                self._park_unknown(record.out)
         # 2. Settle hosted foreign jobs that reached a terminal state
         #    while the gateway was down (their completion events fired
         #    into a dead subscriber).

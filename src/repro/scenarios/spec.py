@@ -237,6 +237,10 @@ class ProviderSpec(_Spec):
 class DemandSpec(_Spec):
     """Steady-state demand one campus's users generate.
 
+    ``jobs_per_day`` and ``sessions_per_day`` are the diurnal *peak*
+    rates: the :class:`~repro.workloads.demand.DemandProcess` thins
+    them by a raised cosine that averages 0.55, so a day brings about
+    half the number written.
     ``timezone_offset_hours`` shifts the diurnal peak: a federation
     spanning timezones never has all its campuses peak simultaneously,
     which is exactly the imbalance federation exploits.

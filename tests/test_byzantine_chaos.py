@@ -22,8 +22,8 @@ over-rep.  forwarding origins only         capacity-mismatch strikes
 
 Chain-visible lies (forge/replay/free-ride) are gossip-propagated and
 demand-independent, so they carry a hard detection bound: every honest
-observer must convict within ``DETECTION_ROUNDS_BOUND`` gossip rounds
-of the misbehavior window opening.  The other modes need a settlement
+observer must convict within ``DETECTION_ROUNDS_BOUND`` ticks of its
+gossip of the misbehavior window opening.  The other modes need a settlement
 or a forwarding attempt to surface, so the suite asserts detection
 happened, not a round count.  The safety invariants, the bound on
 chain-visible detection included, are the deployment's own
@@ -149,14 +149,14 @@ def _detectors(mode):
 
 def test_honest_sites_detect_the_adversary(chaos):
     mode, fed, _jobs = chaos
-    interval = fed.federation_config.gossip_interval
     start = WINDOW_START.get(mode, 0.0)
     for site in _detectors(mode):
-        trust = fed.site(site).gateway.trust
+        gateway = fed.site(site).gateway
+        trust = gateway.trust
         assert BYZ in trust.detected_at, \
             f"{site} never detected {BYZ} ({mode})"
         if mode in CHAIN_VISIBLE_MODES:
-            rounds = (trust.detected_at[BYZ] - start) / interval
+            rounds = (trust.detected_at[BYZ] - start) / gateway.gossip.tick
             assert rounds <= DETECTION_ROUNDS_BOUND, \
                 f"{site} took {rounds:.1f} gossip rounds on {mode}"
 

@@ -128,7 +128,9 @@ def test_two_hop_relay_places_job_and_pays_relay_fee():
     # The relay attributes completion to the *true* host, so a probe
     # of bravo never claims bravo ran the job.
     assert record.host_site == "charlie"
-    assert bravo.gateway.forward._host_of(surplus.job_id) == "charlie"
+    probe = bravo.gateway.forward.handle_status({"job_id": surplus.job_id})
+    assert probe["state"] == "completed"
+    assert probe["host_site"] == "charlie"
 
 
 def test_hop_cap_one_keeps_job_parked_at_the_relay():
