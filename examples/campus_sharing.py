@@ -6,7 +6,7 @@ once under manual coordination (each lab on its own hardware), once
 under GPUnion — and prints the per-lab utilization comparison that
 Fig. 2 reports.
 
-Run with:  python examples/campus_sharing.py    (about a minute)
+Run with:  python examples/campus_sharing.py    (a few seconds)
 """
 
 from repro.analysis import render_table

@@ -24,7 +24,6 @@ from ..gpu.node import GPUNode
 from ..gpu.specs import speedup_over_reference
 from ..sim import Environment, RngStreams
 from ..units import HOUR
-from ..workloads.generator import Arrival
 from ..workloads.interactive import (
     InteractiveSessionSpec,
     SessionOutcome,
@@ -64,7 +63,7 @@ class ManualCoordinationSimulation:
         self,
         env: Environment,
         streams: RngStreams,
-        borrow_probability: float = 0.25,
+        borrow_probability: float = 0.15,
         borrow_delay: float = 4 * HOUR,
         session_borrow_probability: float = 0.20,
     ):
@@ -115,14 +114,16 @@ class ManualCoordinationSimulation:
 
     # -- demand ------------------------------------------------------------
 
-    def play_trace(self, trace: Sequence[Arrival]) -> None:
-        """Schedule every arrival in the trace."""
+    def play_trace(self, trace: Sequence) -> None:
+        """Schedule every planned arrival (anything with ``at`` and
+        ``spec``, such as :class:`~repro.scenarios.PlannedJob` and
+        :class:`~repro.scenarios.PlannedSession`)."""
         for arrival in trace:
             self.env.process(self._arrival(arrival),
-                             name=f"manual-arrival@{arrival.time}")
+                             name=f"manual-arrival@{arrival.at}")
 
-    def _arrival(self, arrival: Arrival) -> Generator:
-        yield self.env.timeout(arrival.time)
+    def _arrival(self, arrival) -> Generator:
+        yield self.env.timeout(arrival.at)
         spec = arrival.spec
         if isinstance(spec, TrainingJobSpec):
             yield from self._handle_job(spec)
@@ -172,7 +173,7 @@ class ManualCoordinationSimulation:
         spec = record.spec
         record.started_at = self.env.now
         record.ran_on_lab = lab
-        owner = f"manual:{spec.job_id}"
+        owner = f"manual-job:{spec.job_id}"
         gpu.allocate_memory(owner, spec.model.gpu_memory)
         gpu.add_load(owner, spec.model.train_intensity)
         duration = spec.total_compute / speedup_over_reference(gpu.spec)
@@ -210,7 +211,7 @@ class ManualCoordinationSimulation:
             for gpu in node.gpus:
                 if gpu.memory_free < memory:
                     continue
-                if any(owner.startswith("manual:job") for owner in gpu.owners):
+                if any(owner.startswith("manual-job:") for owner in gpu.owners):
                     continue
                 return gpu
         return None

@@ -21,7 +21,6 @@ from ..gpu.device import GPUDevice
 from ..gpu.node import GPUNode
 from ..gpu.specs import speedup_over_reference
 from ..sim import Environment, RngStreams
-from ..workloads.generator import Arrival
 from ..workloads.training import TrainingJobSpec
 
 
@@ -84,16 +83,17 @@ class ReservationSystem:
                     return gpu
         return None
 
-    def play_trace(self, trace: Sequence[Arrival]) -> None:
-        """Schedule all training-job arrivals (sessions unsupported —
-        reservation systems are batch-oriented)."""
+    def play_trace(self, trace: Sequence) -> None:
+        """Schedule all planned training-job arrivals (anything with
+        ``at`` and ``spec``; sessions unsupported — reservation systems
+        are batch-oriented)."""
         for arrival in trace:
             if isinstance(arrival.spec, TrainingJobSpec):
                 self.env.process(self._arrival(arrival),
-                                 name=f"resv-arrival@{arrival.time}")
+                                 name=f"resv-arrival@{arrival.at}")
 
-    def _arrival(self, arrival: Arrival) -> Generator:
-        yield self.env.timeout(arrival.time)
+    def _arrival(self, arrival) -> Generator:
+        yield self.env.timeout(arrival.at)
         record = ReservationRecord(spec=arrival.spec, arrived_at=self.env.now)
         self.records.append(record)
         self._queue.append(record)

@@ -60,7 +60,6 @@ class GPUnionPlatform:
         backbone_capacity: float = gbps(10),
         coordinator_hostname: str = "coordinator",
         registry_hostname: str = "registry",
-        traffic_window: float = 60.0,
         env: Optional[Environment] = None,
         tracer: Optional["Tracer"] = None,
         trace_site: Optional[str] = None,
@@ -72,8 +71,7 @@ class GPUnionPlatform:
         self.config = config or PlatformConfig()
         self.lan = CampusLAN(backbone_capacity=backbone_capacity)
         self.network = FlowNetwork(self.env, self.lan)
-        self.traffic = TrafficMeter(self.env, self.network,
-                                    window=traffic_window)
+        self.traffic = TrafficMeter(self.env, self.network)
         self.rpc = RpcLayer(self.env, self.network)
         self.images = ImageRegistry(hostname=registry_hostname)
         self.events = EventLog(self.env)

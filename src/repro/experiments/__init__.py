@@ -1,13 +1,10 @@
 """Experiments reproducing every table and figure in the paper."""
 
 from .campus import (
-    PAPER_LABS,
-    PAPER_SERVERS,
-    ServerSpec,
-    build_gpunion_campus,
-    build_manual_campus,
-    campus_demand,
-    total_gpus,
+    campus_platform,
+    manual_campus,
+    paper_campus,
+    run_campus,
 )
 from .federation import (
     ByzantineResult,
@@ -40,13 +37,10 @@ from .scalability import (
 from .training_impact import ImpactRow, impact_table, run_training_impact
 
 __all__ = [
-    "PAPER_SERVERS",
-    "PAPER_LABS",
-    "ServerSpec",
-    "build_gpunion_campus",
-    "build_manual_campus",
-    "campus_demand",
-    "total_gpus",
+    "campus_platform",
+    "manual_campus",
+    "paper_campus",
+    "run_campus",
     "FederationResult",
     "ByzantineResult",
     "PartitionResult",

@@ -1,4 +1,4 @@
-"""The paper's campus deployment (§4).
+"""The paper's campus deployment (§4), as a checked-in scenario.
 
 "We deploy GPUnion in a campus network environment comprising 11 GPU
 services.  Among these, 8 servers functioned as workstations, each
@@ -6,184 +6,71 @@ equipped with a single NVIDIA 3090 GPU; one server featured 8 4090
 GPUs; another two servers housed 2 A100 and 4 A6000, respectively.  An
 additional CPU-only server served as the central coordinator."
 
-This module builds that fleet (22 GPUs, 11 servers) for both phases of
-the evaluation — manual coordination and GPUnion — plus the demand
-profiles encoding the imbalance the paper motivates: workstation labs
-near their own capacity, a GPU farm mostly idle, compute-poor labs and
-unaffiliated students with nowhere to run.
+That fleet (22 GPUs, 11 servers) and its per-lab demand are the
+single-site scenario ``paper-campus`` (package data under
+``scenarios/``).  The demand encodes the imbalance the paper
+motivates: workstation labs near their own capacity, a GPU farm mostly
+idle, compute-poor labs and unaffiliated students with nowhere to run.
+
+The GPUnion phase is the compiled scenario.  The manual-coordination
+phase is the same providers with no platform, replaying the arrivals
+:func:`~repro.scenarios.compile_scenario` planned, so both phases see
+identical demand by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, replace
 
 from ..baselines.manual import ManualCoordinationSimulation
 from ..core.platform import GPUnionPlatform
 from ..gpu.node import GPUNode
-from ..gpu.specs import A100_40GB, A6000, GPUSpec, RTX_3090, RTX_4090
+from ..gpu.specs import lookup
+from ..scenarios import CompiledScenario, ScenarioSpec, compile_scenario
 from ..sim import Environment, RngStreams
-from ..units import MINUTE, gbps
-from ..workloads.generator import LabProfile, WorkloadGenerator
+from ..units import HOUR
+from .federation import load_scenario
 
 
-@dataclass(frozen=True)
-class ServerSpec:
-    """One campus server: hostname, GPUs, owning lab."""
-
-    hostname: str
-    gpu_specs: Tuple[GPUSpec, ...]
-    lab: str
-    access_gbps: float = 1.0
+def paper_campus(seconds: float) -> ScenarioSpec:
+    """``paper-campus`` over ``seconds``."""
+    return replace(load_scenario("paper-campus"),
+                   duration_hours=seconds / HOUR)
 
 
-#: The paper's 11-server fleet with a plausible lab assignment.
-PAPER_SERVERS: Tuple[ServerSpec, ...] = (
-    ServerSpec("ws1", (RTX_3090,), "vision"),
-    ServerSpec("ws2", (RTX_3090,), "vision"),
-    ServerSpec("ws3", (RTX_3090,), "vision"),
-    ServerSpec("ws4", (RTX_3090,), "nlp"),
-    ServerSpec("ws5", (RTX_3090,), "nlp"),
-    ServerSpec("ws6", (RTX_3090,), "systems"),
-    ServerSpec("ws7", (RTX_3090,), "systems"),
-    ServerSpec("ws8", (RTX_3090,), "systems"),
-    ServerSpec("gpu-farm", (RTX_4090,) * 8, "ml-infra", access_gbps=10.0),
-    ServerSpec("a100-srv", (A100_40GB,) * 2, "bio", access_gbps=10.0),
-    ServerSpec("a6000-srv", (A6000,) * 4, "robotics", access_gbps=10.0),
-)
+def campus_platform(compiled: CompiledScenario) -> GPUnionPlatform:
+    """The one campus of a compiled single-site scenario."""
+    (handle,) = compiled.deployment.sites.values()
+    return handle.platform
 
 
-def _mix_small() -> Tuple[Tuple[str, float], ...]:
-    return (("resnet50-cifar", 3.0), ("unet-segmentation", 2.0),
-            ("bert-base-finetune", 2.0))
-
-
-def _mix_large() -> Tuple[Tuple[str, float], ...]:
-    return (("resnet152-imagenet", 2.0), ("vit-large-finetune", 1.5),
-            ("gpt2-medium-pretrain", 1.0))
-
-
-#: Demand profiles: peak arrival rates (thinned ~0.55× by the diurnal
-#: curve).  The imbalance is deliberate: workstation labs out-demand
-#: their own hardware, the GPU farm idles, two labs own nothing.
-PAPER_LABS: Tuple[LabProfile, ...] = (
-    LabProfile("vision", batch_jobs_per_day=8.5,
-               interactive_sessions_per_day=5.0,
-               job_mix=_mix_small(), mean_job_compute_hours=10.0,
-               students=8),
-    LabProfile("nlp", batch_jobs_per_day=6.0,
-               interactive_sessions_per_day=4.0,
-               job_mix=_mix_small(), mean_job_compute_hours=10.0,
-               students=6),
-    LabProfile("systems", batch_jobs_per_day=6.0,
-               interactive_sessions_per_day=4.0,
-               job_mix=_mix_small(), mean_job_compute_hours=9.0,
-               students=7),
-    LabProfile("ml-infra", batch_jobs_per_day=4.0,
-               interactive_sessions_per_day=2.0,
-               job_mix=_mix_large(), mean_job_compute_hours=14.0,
-               students=5),
-    LabProfile("bio", batch_jobs_per_day=2.5,
-               interactive_sessions_per_day=1.5,
-               job_mix=_mix_large(), mean_job_compute_hours=12.0,
-               students=4),
-    LabProfile("robotics", batch_jobs_per_day=4.0,
-               interactive_sessions_per_day=2.0,
-               job_mix=_mix_small(), mean_job_compute_hours=10.0,
-               students=5),
-    # Compute-poor labs: plenty of demand, zero servers.
-    LabProfile("theory", batch_jobs_per_day=37.0,
-               interactive_sessions_per_day=3.0,
-               job_mix=_mix_small(), mean_job_compute_hours=10.0,
-               students=9),
-    LabProfile("hci", batch_jobs_per_day=29.0,
-               interactive_sessions_per_day=3.0,
-               job_mix=_mix_small(), mean_job_compute_hours=9.0,
-               students=7),
-)
-
-#: Sessions/day (peak) from students with no lab affiliation at all.
-UNAFFILIATED_SESSIONS_PER_DAY = 3.0
-
-#: Labs that own hardware, in PAPER_SERVERS.
-LABS_WITH_SERVERS = ("vision", "nlp", "systems", "ml-infra", "bio",
-                     "robotics")
-
-
-def build_gpunion_campus(
-    seed: int = 0,
-    servers: Sequence[ServerSpec] = PAPER_SERVERS,
-    config=None,
-    **platform_kwargs,
-) -> GPUnionPlatform:
-    """The GPUnion-phase campus: all 11 servers as providers."""
-    platform = GPUnionPlatform(seed=seed, config=config, **platform_kwargs)
-    for server in servers:
-        platform.add_provider(
-            server.hostname,
-            list(server.gpu_specs),
-            lab=server.lab,
-            access_capacity=gbps(server.access_gbps),
-        )
-    return platform
-
-
-def build_manual_campus(
-    seed: int = 0,
-    servers: Sequence[ServerSpec] = PAPER_SERVERS,
-    borrow_probability: float = 0.15,
-) -> ManualCoordinationSimulation:
-    """The manual-coordination-phase campus: same iron, no platform."""
+def manual_campus(spec: ScenarioSpec,
+                  seed: int) -> ManualCoordinationSimulation:
+    """The manual-coordination phase: the spec's providers, no platform."""
     env = Environment()
-    streams = RngStreams(seed)
-    sim = ManualCoordinationSimulation(
-        env, streams, borrow_probability=borrow_probability)
-    for server in servers:
-        node = GPUNode(env, server.hostname, list(server.gpu_specs),
-                       owner_lab=server.lab)
-        sim.add_lab_server(node)
-    return sim
+    manual = ManualCoordinationSimulation(env, RngStreams(seed))
+    for site in spec.sites:
+        for provider in site.providers:
+            manual.add_lab_server(GPUNode(
+                env, provider.name, [lookup(gpu) for gpu in provider.gpus],
+                owner_lab=provider.lab))
+    return manual
 
 
-def campus_demand(
-    seed: int,
-    horizon: float,
-    labs: Sequence[LabProfile] = PAPER_LABS,
-    checkpoint_interval: float = 10 * MINUTE,
-):
-    """The demand trace both phases replay (same seed → same trace)."""
-    generator = WorkloadGenerator(RngStreams(seed).spawn("demand"))
-    return generator.combined_trace(
-        labs, horizon,
-        unaffiliated_sessions_per_day=UNAFFILIATED_SESSIONS_PER_DAY,
-        checkpoint_interval=checkpoint_interval,
-    )
+@dataclass
+class CampusRun:
+    """Both phases of the paper campus, run to the same horizon."""
+
+    horizon: float
+    manual: ManualCoordinationSimulation
+    gpunion: GPUnionPlatform
 
 
-def total_gpus(servers: Sequence[ServerSpec] = PAPER_SERVERS) -> int:
-    """GPUs in the fleet (22 for the paper's deployment)."""
-    return sum(len(server.gpu_specs) for server in servers)
-
-
-def replay_demand(platform, trace, name: str = "demand-feeder") -> None:
-    """Replay a demand trace into a platform at its arrival times.
-
-    The shared feeder every experiment uses: training jobs go to
-    ``submit_job``, interactive sessions to ``submit_session``, in
-    trace order on the platform's own clock.
-    """
-    from ..workloads.interactive import InteractiveSessionSpec
-    from ..workloads.training import TrainingJobSpec
-
-    def feeder(env):
-        last = 0.0
-        for arrival in trace:
-            if arrival.time > last:
-                yield env.timeout(arrival.time - last)
-                last = arrival.time
-            if isinstance(arrival.spec, TrainingJobSpec):
-                platform.submit_job(arrival.spec)
-            elif isinstance(arrival.spec, InteractiveSessionSpec):
-                platform.submit_session(arrival.spec)
-
-    platform.env.process(feeder(platform.env), name=name)
+def run_campus(seed: int, seconds: float) -> CampusRun:
+    """Run both phases over one planned demand trace."""
+    compiled = compile_scenario(paper_campus(seconds), seed=seed)
+    manual = manual_campus(compiled.spec, seed)
+    manual.play_trace(compiled.jobs + compiled.sessions)
+    manual.env.run(until=compiled.horizon)
+    compiled.run()
+    return CampusRun(compiled.horizon, manual, campus_platform(compiled))

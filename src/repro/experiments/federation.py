@@ -35,8 +35,8 @@ from ..units import DAY, HOUR, MINUTE
 
 
 def load_scenario(name: str) -> ScenarioSpec:
-    """A checked-in federation scenario: ``"federation-mesh"`` or
-    ``"federation-line"``."""
+    """A checked-in scenario: ``"federation-mesh"``,
+    ``"federation-line"`` or ``"paper-campus"``."""
     path = resources.files(__package__) / "scenarios" / f"{name}.json"
     return ScenarioSpec.from_json(path.read_text())
 

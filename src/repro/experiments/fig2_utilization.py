@@ -6,27 +6,17 @@ to enhanced visibility of resource availability and the automated
 allocation of opportunistic workloads during idle periods" (§4).
 
 Both phases replay the *same* demand trace over the *same* 22-GPU
-fleet; only the coordination mechanism differs.
+fleet (the ``paper-campus`` scenario); only the coordination mechanism
+differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-from ..units import DAY, WEEK
-from .campus import (
-    PAPER_LABS,
-    PAPER_SERVERS,
-    build_gpunion_campus,
-    build_manual_campus,
-    campus_demand,
-    replay_demand,
-)
-
-#: Demand generated beyond the horizon keeps the fleet busy at the end
-#: of the measurement window (jobs arriving late still run past it).
-_WARMUP = 0.0
+from ..units import WEEK
+from .campus import run_campus
 
 
 @dataclass
@@ -66,26 +56,10 @@ class Fig2Result:
         return rows
 
 
-#: Replay the demand trace into the platform at arrival times.
-_submit_to_gpunion = replay_demand
-
-
 def run_fig2(seed: int = 42, weeks: float = 6.0) -> Fig2Result:
     """Run both phases and collect Figure 2's series."""
-    horizon = weeks * WEEK
-
-    # Phase 1: manual coordination (the "before" bar).
-    manual = build_manual_campus(seed=seed)
-    manual_trace = campus_demand(seed, horizon)
-    manual.play_trace(manual_trace)
-    manual.env.run(until=horizon)
-
-    # Phase 2: GPUnion over the same fleet and the same demand.
-    platform = build_gpunion_campus(seed=seed)
-    gpunion_trace = campus_demand(seed, horizon)
-    _submit_to_gpunion(platform, gpunion_trace)
-    platform.run(until=horizon)
-
+    run = run_campus(seed, weeks * WEEK)
+    manual, platform, horizon = run.manual, run.gpunion, run.horizon
     completed = sum(
         1 for job in platform.coordinator.jobs.values() if job.is_done
     )
@@ -104,19 +78,13 @@ def run_fig2(seed: int = 42, weeks: float = 6.0) -> Fig2Result:
 
 def weekly_series(seed: int = 42, weeks: int = 6) -> List[Dict[str, float]]:
     """Per-week utilization for both phases (Fig. 2's time axis)."""
-    horizon = weeks * WEEK
-    manual = build_manual_campus(seed=seed)
-    manual.play_trace(campus_demand(seed, horizon))
-    manual.env.run(until=horizon)
-    platform = build_gpunion_campus(seed=seed)
-    _submit_to_gpunion(platform, campus_demand(seed, horizon))
-    platform.run(until=horizon)
+    run = run_campus(seed, weeks * WEEK)
     series = []
     for week in range(weeks):
         since, until = week * WEEK, (week + 1) * WEEK
         series.append({
             "week": week + 1,
-            "manual": manual.fleet_utilization(since, until),
-            "gpunion": platform.fleet_utilization(since, until),
+            "manual": run.manual.fleet_utilization(since, until),
+            "gpunion": run.gpunion.fleet_utilization(since, until),
         })
     return series

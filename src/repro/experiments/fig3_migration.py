@@ -14,25 +14,26 @@ workloads were automatically migrated back to their original nodes in
 time when providers reconnected" (§4).
 
 The experiment runs on the *live campus deployment* (the Fig. 2 fleet
-under its normal demand): two volunteer servers are made volatile via
-behaviour models, 20 instrumented jobs are injected, and the rest of
-the campus provides both migration headroom (displaced jobs land
-quickly → high scheduled success) and contention (returning volunteers
-get re-occupied by queued work → migrate-back < 100 %).
+under its normal demand): a variant of the ``paper-campus`` scenario
+gives two volunteer servers provider churn, 20 instrumented jobs are
+injected, and the rest of the campus provides both migration headroom
+(displaced jobs land quickly → high scheduled success) and contention
+(returning volunteers get re-occupied by queued work → migrate-back
+< 100 %).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List
 
-from ..agent import BehaviorProfile
 from ..core import (
     MigrateBackSummary,
     MigrationStats,
     build_migration_report,
     displaced_return_stats,
 )
+from ..scenarios import ChurnSpec, compile_scenario
 from ..sim import RngStreams
 from ..units import HOUR, MINUTE, WEEK
 from ..workloads import (
@@ -42,10 +43,8 @@ from ..workloads import (
     TrainingJobSpec,
     UNET_SEG,
     VIT_LARGE,
-    next_job_id,
 )
-from ..workloads.interactive import InteractiveSessionSpec
-from .campus import build_gpunion_campus, campus_demand
+from .campus import campus_platform, paper_campus
 
 #: The 20-job mix: CNNs and transformers, as in the paper.
 JOB_MODELS = (
@@ -119,7 +118,7 @@ def _instrumented_jobs(seed: int, count: int, duration: float,
         model = JOB_MODELS[index % len(JOB_MODELS)]
         compute = rng.uniform(8 * HOUR, 24 * HOUR)
         spec = TrainingJobSpec(
-            job_id=next_job_id(),
+            job_id=f"fig3-job-{index:02d}",
             model=model,
             total_compute=compute,
             lab="volunteers",
@@ -137,46 +136,39 @@ def run_fig3(
     events_per_day: float = 1.6,  # mid-range of the paper's 0.5–3.2
     checkpoint_interval: float = 10 * MINUTE,
 ) -> Fig3Result:
-    """The controlled-interruption experiment on the live campus."""
-    platform = build_gpunion_campus(seed=seed)
-    profile = BehaviorProfile(
+    """The controlled-interruption experiment on the live campus.
+
+    ``checkpoint_interval`` applies to the instrumented jobs; the
+    campus's own jobs checkpoint every 10 minutes, as every compiled
+    job does.
+    """
+    churn = ChurnSpec(
         events_per_day=events_per_day,
         p_scheduled=0.4, p_emergency=0.3, p_temporary=0.3,
-        mean_temporary_downtime=40 * MINUTE,
-        mean_rejoin_delay=1 * HOUR,
+        mean_downtime_minutes=40.0, mean_rejoin_minutes=60.0,
     )
-    for hostname in VOLUNTEER_NODES:
-        platform.add_behavior(hostname, profile)
-
-    # Normal campus demand keeps the fleet at its Fig. 2 operating point.
-    background = campus_demand(seed, duration,
-                               checkpoint_interval=checkpoint_interval)
+    spec = paper_campus(duration)
+    (site,) = spec.sites
+    volatile = replace(site, providers=tuple(
+        replace(provider, churn=churn)
+        if provider.name in VOLUNTEER_NODES else provider
+        for provider in site.providers))
+    # The campus's own demand keeps the fleet at its Fig. 2 operating
+    # point; the instrumented jobs ride on top of it.
+    compiled = compile_scenario(replace(spec, sites=(volatile,)), seed=seed)
+    platform = campus_platform(compiled)
     instrumented = _instrumented_jobs(seed, jobs, duration,
                                       checkpoint_interval)
     job_states: List = []
 
-    def feed_background(env):
-        last = 0.0
-        for arrival in background:
-            if arrival.time > last:
-                yield env.timeout(arrival.time - last)
-                last = arrival.time
-            if isinstance(arrival.spec, TrainingJobSpec):
-                platform.submit_job(arrival.spec)
-            elif isinstance(arrival.spec, InteractiveSessionSpec):
-                platform.submit_session(arrival.spec)
-
     def feed_instrumented(env):
-        last = 0.0
-        for when, spec in instrumented:
-            if when > last:
-                yield env.timeout(when - last)
-                last = when
-            job_states.append(platform.submit_job(spec))
+        for when, job in instrumented:
+            if when > env.now:
+                yield env.timeout(when - env.now)
+            job_states.append(platform.submit_job(job))
 
-    platform.env.process(feed_background(platform.env), name="fig3-bg")
     platform.env.process(feed_instrumented(platform.env), name="fig3-jobs")
-    platform.run(until=duration)
+    compiled.run()
 
     # Interruption statistics over every job the churn touched (the
     # volunteers host background work too); migrate-back over all

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..units import WEEK
-from .campus import LABS_WITH_SERVERS
-from .fig2_utilization import Fig2Result, run_fig2
+from .campus import run_campus
 
 
 @dataclass
@@ -51,40 +50,27 @@ class InteractiveResult:
         return rows
 
 
-def _group_of(lab: str) -> str:
-    if not lab:
-        return "unaffiliated"
-    if lab in LABS_WITH_SERVERS:
-        return "gpu-owning labs"
-    return "compute-poor labs"
+def _by_group(records, owning_labs) -> Dict[str, int]:
+    """Served-session counts by who asked."""
+    groups: Dict[str, int] = {}
+    for record in records:
+        lab = record.spec.lab
+        group = ("unaffiliated" if not lab
+                 else "gpu-owning labs" if lab in owning_labs
+                 else "compute-poor labs")
+        groups[group] = groups.get(group, 0) + 1
+    return groups
 
 
-def run_interactive(seed: int = 42, weeks: float = 2.0):
-    """Run both phases; returns ``(InteractiveResult, Fig2Result)``."""
-    from .campus import build_gpunion_campus, build_manual_campus, campus_demand
-    from .fig2_utilization import _submit_to_gpunion
-
-    horizon = weeks * WEEK
-    manual = build_manual_campus(seed=seed)
-    manual.play_trace(campus_demand(seed, horizon))
-    manual.env.run(until=horizon)
-
-    platform = build_gpunion_campus(seed=seed)
-    _submit_to_gpunion(platform, campus_demand(seed, horizon))
-    platform.run(until=horizon)
-
-    manual_groups: Dict[str, int] = {}
-    for record in manual.served_sessions():
-        group = _group_of(record.spec.lab)
-        manual_groups[group] = manual_groups.get(group, 0) + 1
-    gpunion_groups: Dict[str, int] = {}
-    for record in platform.coordinator.served_sessions():
-        group = _group_of(record.spec.lab)
-        gpunion_groups[group] = gpunion_groups.get(group, 0) + 1
-
+def run_interactive(seed: int = 42, weeks: float = 2.0) -> InteractiveResult:
+    """Run both phases and count the sessions each served."""
+    run = run_campus(seed, weeks * WEEK)
+    owning_labs = set(run.manual.nodes_by_lab)
+    manual = run.manual.served_sessions()
+    gpunion = run.gpunion.coordinator.served_sessions()
     return InteractiveResult(
-        manual_served=len(manual.served_sessions()),
-        gpunion_served=len(platform.coordinator.served_sessions()),
-        manual_by_group=manual_groups,
-        gpunion_by_group=gpunion_groups,
+        manual_served=len(manual),
+        gpunion_served=len(gpunion),
+        manual_by_group=_by_group(manual, owning_labs),
+        gpunion_by_group=_by_group(gpunion, owning_labs),
     )

@@ -5,11 +5,12 @@ incremental checkpointing mechanism produces negligible network
 overhead, with backup traffic consuming less than 2% of available
 campus bandwidth during peak operation periods."
 
-The experiment runs the live campus for several days, meters every
-checkpoint/migration byte per minute, and reports the peak-minute and
-average backup rates as fractions of the backbone.  The ablation arm
-re-runs with incremental checkpointing disabled (every checkpoint is a
-full snapshot) to show what the delta mechanism saves.
+The experiment runs the ``paper-campus`` scenario for several days,
+meters every checkpoint/migration byte per minute, and reports the
+peak 10-minute and average backup rates as fractions of the backbone.
+The ablation arm re-runs with incremental checkpointing disabled
+(every checkpoint is a full snapshot) to show what the delta mechanism
+saves.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..checkpoint import IncrementalPlan
+from ..network import TrafficMeter
+from ..scenarios import compile_scenario
 from ..units import DAY, GIB, MINUTE, gbps
-from .campus import build_gpunion_campus, campus_demand, replay_demand
+from .campus import campus_platform, paper_campus
 
 #: Campus backbone capacity the fractions are measured against.
 BACKBONE = gbps(10)
@@ -35,7 +38,7 @@ class TrafficResult:
     mode: str  # "incremental" | "full-only"
     days: float
     total_backup_bytes: float
-    peak_fraction: float  # peak-minute rate / backbone
+    peak_fraction: float  # peak 10-minute rate / backbone
     average_fraction: float
     peak_fraction_by_category: Dict[str, float]
 
@@ -54,34 +57,38 @@ class TrafficResult:
 PEAK_WINDOW = 10 * MINUTE
 
 
+def _peak_rate(meter: TrafficMeter, categories) -> float:
+    """Highest ``PEAK_WINDOW``-average rate of ``categories`` combined.
+
+    The meter bins per minute by ``now // window``, so summing its bins
+    by ``start // PEAK_WINDOW`` gives the 10-minute partition exactly.
+    """
+    windows: Dict[int, float] = {}
+    for category in categories:
+        for start, nbytes in meter.series(category):
+            index = int(start // PEAK_WINDOW)
+            windows[index] = windows.get(index, 0.0) + nbytes
+    return max(windows.values(), default=0.0) / PEAK_WINDOW
+
+
 def _run_mode(seed: int, days: float, incremental: bool) -> TrafficResult:
-    platform = build_gpunion_campus(seed=seed, traffic_window=PEAK_WINDOW)
+    compiled = compile_scenario(paper_campus(days * DAY), seed=seed)
+    platform = campus_platform(compiled)
     if not incremental:
         # Ablation: every checkpoint ships the full state.
         platform.engine.plan = IncrementalPlan(full_every=1)
-    horizon = days * DAY
-    trace = campus_demand(seed, horizon)
-
-    replay_demand(platform, trace, name="traffic-feeder")
-    platform.run(until=horizon)
+    compiled.run()
 
     meter = platform.traffic
     total = sum(meter.total_bytes(cat) for cat in BACKUP_CATEGORIES)
-    # Peak over the *sum* of backup categories per window.
-    combined: Dict[int, float] = {}
-    for category in BACKUP_CATEGORIES:
-        for start, nbytes in meter.series(category):
-            index = int(start // meter.window)
-            combined[index] = combined.get(index, 0.0) + nbytes
-    peak_rate = (max(combined.values()) / meter.window) if combined else 0.0
     return TrafficResult(
         mode="incremental" if incremental else "full-only",
         days=days,
         total_backup_bytes=total,
-        peak_fraction=peak_rate / BACKBONE,
-        average_fraction=(total / horizon) / BACKBONE,
+        peak_fraction=_peak_rate(meter, BACKUP_CATEGORIES) / BACKBONE,
+        average_fraction=(total / compiled.horizon) / BACKBONE,
         peak_fraction_by_category={
-            category: meter.peak_rate(category) / BACKBONE
+            category: _peak_rate(meter, (category,)) / BACKBONE
             for category in BACKUP_CATEGORIES
         },
     )

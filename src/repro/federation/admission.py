@@ -9,7 +9,7 @@ headroom before any foreign offer is accepted.
 
 The forecast is deliberately cheap and online — two exponentially
 weighted moving averages over the ``job-submitted`` event stream (the
-workload generator's arrivals):
+campus's planned arrivals):
 
 * the **inter-arrival gap** between home training submissions, whose
   reciprocal is the arrival rate λ;

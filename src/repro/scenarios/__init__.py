@@ -3,7 +3,8 @@
 ``repro.scenarios`` turns hand-coded experiment scripts into data: a
 :class:`ScenarioSpec` (dict/JSON round-trippable, strictly validated)
 describes campuses, heterogeneous GPU fleets, diurnal multi-timezone
-demand, flash crowds, spot-style churn, and chaos windows;
+per-site or per-lab demand, flash crowds, spot-style churn, and chaos
+windows;
 :func:`compile_scenario` wires it into a ready
 :class:`~repro.federation.deployment.FederatedDeployment`; and
 :class:`ScenarioRunner` sweeps seeds while auditing the federation's
@@ -24,6 +25,7 @@ from .spec import (
     CrashSpec,
     DemandSpec,
     FlashCrowdSpec,
+    LabDemandSpec,
     OutageSpec,
     ProviderSpec,
     ScenarioError,
@@ -39,6 +41,7 @@ __all__ = [
     "SiteSpec",
     "ProviderSpec",
     "DemandSpec",
+    "LabDemandSpec",
     "ChurnSpec",
     "FlashCrowdSpec",
     "WanLinkSpec",

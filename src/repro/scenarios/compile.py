@@ -91,18 +91,23 @@ def _pick_model(rng, mix: Tuple[Tuple[str, float], ...]):
     return MODEL_CATALOG[mix[-1][0]]
 
 
-def _plan_site_demand(
-    scenario: ScenarioSpec,
+def _plan_demand(
     site_name: str,
+    tag: str,
+    lab: str,
     demand: DemandSpec,
     streams: RngStreams,
     horizon: float,
 ) -> Tuple[List[PlannedJob], List[PlannedSession]]:
-    """Deterministic per-site arrival schedule (ids are scenario-local)."""
+    """Deterministic arrivals of one demand population at one site.
+
+    ``tag`` names the population's RNG streams, its scenario-local ids
+    and its users; every planned spec carries ``lab``.
+    """
     jobs: List[PlannedJob] = []
     sessions: List[PlannedSession] = []
 
-    job_rng = streams.stream(f"jobs:{site_name}")
+    job_rng = streams.stream(f"jobs:{tag}")
     job_process = DemandProcess(demand.jobs_per_day,
                                 phase_hours=demand.timezone_offset_hours)
     for index, when in enumerate(job_process.arrivals(job_rng, horizon)):
@@ -114,16 +119,16 @@ def _plan_site_demand(
             at=when,
             site=site_name,
             spec=TrainingJobSpec(
-                job_id=f"sc-{site_name}-job-{index:05d}",
+                job_id=f"sc-{tag}-job-{index:05d}",
                 model=model,
                 total_compute=compute_hours * HOUR,
-                owner=f"{site_name}-user-{job_rng.randrange(20)}",
-                lab=site_name,
+                owner=f"{tag}-user-{job_rng.randrange(20)}",
+                lab=lab,
                 checkpoint_interval=10 * MINUTE,
             ),
         ))
 
-    session_rng = streams.stream(f"sessions:{site_name}")
+    session_rng = streams.stream(f"sessions:{tag}")
     session_process = DemandProcess(
         demand.sessions_per_day, phase_hours=demand.timezone_offset_hours)
     for index, when in enumerate(session_process.arrivals(session_rng,
@@ -133,9 +138,9 @@ def _plan_site_demand(
             at=when,
             site=site_name,
             spec=InteractiveSessionSpec(
-                session_id=f"sc-{site_name}-sess-{index:05d}",
-                user=f"{site_name}-user-{session_rng.randrange(40)}",
-                lab=site_name,
+                session_id=f"sc-{tag}-sess-{index:05d}",
+                user=f"{tag}-user-{session_rng.randrange(40)}",
+                lab=lab,
                 duration=duration,
             ),
         ))
@@ -214,6 +219,7 @@ def compile_scenario(scenario: ScenarioSpec, seed: int = 0,
                 provider.name,
                 [lookup(gpu) for gpu in provider.gpus],
                 lab=provider.lab,
+                access_capacity=gbps(provider.access_gbps),
             )
         # Behaviours attach after every provider exists so churn on one
         # host never perturbs another host's registration order.
@@ -250,10 +256,16 @@ def compile_scenario(scenario: ScenarioSpec, seed: int = 0,
 
     streams = RngStreams(derive_seed(seed, f"scenario-demand:{scenario.name}"))
     for site in scenario.sites:
-        jobs, sessions = _plan_site_demand(
-            scenario, site.name, site.demand, streams, horizon)
-        compiled.jobs.extend(jobs)
-        compiled.sessions.extend(sessions)
+        # The site-wide population keeps the site's own stream names;
+        # each lab's are qualified by the lab (``campus/vision``).
+        populations = [(site.name, site.name, site.demand)] + [
+            (f"{site.name}/{lab.tag}", lab.lab, lab.demand)
+            for lab in site.labs]
+        for tag, lab, demand in populations:
+            jobs, sessions = _plan_demand(
+                site.name, tag, lab, demand, streams, horizon)
+            compiled.jobs.extend(jobs)
+            compiled.sessions.extend(sessions)
     compiled.sessions.extend(_plan_flash_crowds(scenario, streams, horizon))
 
     # One feeder per site keeps submission order deterministic even

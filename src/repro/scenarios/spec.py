@@ -2,9 +2,9 @@
 
 A :class:`ScenarioSpec` is the complete, serialisable description of
 one federated experiment: campuses with heterogeneous GPU generations,
-per-site diurnal demand (with a timezone offset, so a multi-campus
-federation's peaks roll around the clock), flash-crowd interactive
-bursts, spot-style provider churn, and optional WAN-outage,
+per-site or per-lab diurnal demand (with a timezone offset, so a
+multi-campus federation's peaks roll around the clock), flash-crowd
+interactive bursts, spot-style provider churn, and optional WAN-outage,
 control-plane-crash and Byzantine fault windows.  Everything an
 experiment script used to hand-code becomes data: build a spec in
 Python, round-trip it through ``to_dict``/``from_dict`` (or JSON),
@@ -206,18 +206,25 @@ class ChurnSpec(_Spec):
 
 @dataclass(frozen=True)
 class ProviderSpec(_Spec):
-    """One provider host: a named server with a rack of GPUs."""
+    """One provider host: a named server with a rack of GPUs.
+
+    ``access_gbps`` is its link to the campus LAN (multi-GPU servers
+    often sit on 10 Gbps).
+    """
 
     name: str
     gpus: Tuple[str, ...]  # catalog keys; heterogeneous mixes welcome
     lab: str = "unassigned"
     churn: Optional[ChurnSpec] = None
+    access_gbps: float = 1.0
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("provider name must not be empty")
         if not self.gpus:
             raise ValueError("provider needs at least one GPU")
+        if self.access_gbps <= 0:
+            raise ValueError("access_gbps must be positive")
         for gpu in self.gpus:
             if gpu not in CATALOG:
                 raise ValueError(
@@ -230,6 +237,7 @@ class ProviderSpec(_Spec):
         "gpus": _tuple_of(_gpu_name),
         "lab": _parse_str,
         "churn": _optional(ChurnSpec.from_dict),
+        "access_gbps": _parse_number,
     }
 
 
@@ -281,28 +289,65 @@ class DemandSpec(_Spec):
 
 
 @dataclass(frozen=True)
+class LabDemandSpec(_Spec):
+    """The demand of one lab on a campus, planned from its own streams.
+
+    Its jobs and sessions carry ``lab``, so a baseline that runs each
+    lab on its own servers can route them.  ``lab: ""`` is the campus's
+    unaffiliated users, who own no hardware (as flash crowds are).
+    """
+
+    lab: str
+    demand: DemandSpec
+
+    @property
+    def tag(self) -> str:
+        """The name its streams, ids and users are qualified with."""
+        return self.lab or "unaffiliated"
+
+    _PATH = "lab"
+    _FIELDS = {
+        "lab": _parse_str,
+        "demand": DemandSpec.from_dict,
+    }
+
+
+@dataclass(frozen=True)
 class SiteSpec(_Spec):
-    """One campus: providers plus the demand its users generate."""
+    """One campus: providers plus the demand its users generate.
+
+    ``demand`` is the campus's users as one population; ``labs`` adds
+    per-lab demand on top of it (both are peak rates).
+    """
 
     name: str
     providers: Tuple[ProviderSpec, ...]
     demand: DemandSpec = DemandSpec()
+    labs: Tuple[LabDemandSpec, ...] = ()
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("site name must not be empty")
+        if "/" in self.name:
+            # "/" qualifies per-lab ids (sc-campus/vision-job-00003).
+            raise ValueError(f"site name {self.name!r} must not contain '/'")
         if not self.providers:
             raise ValueError("site needs at least one provider")
         names = [p.name for p in self.providers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate provider names in site "
                              f"{self.name!r}: {sorted(names)}")
+        tags = [lab.tag for lab in self.labs]
+        if len(set(tags)) != len(tags):
+            raise ValueError(f"duplicate labs in site {self.name!r}: "
+                             f"{sorted(tags)}")
 
     _PATH = "site"
     _FIELDS = {
         "name": _parse_str,
         "providers": _tuple_of(ProviderSpec.from_dict),
         "demand": DemandSpec.from_dict,
+        "labs": _tuple_of(LabDemandSpec.from_dict),
     }
 
     @property

@@ -1,7 +1,6 @@
-"""Workload models, job specs, and campus demand generation."""
+"""Workload models, job specs, and the diurnal demand process."""
 
 from .demand import DemandProcess, diurnal_weight
-from .generator import Arrival, LabProfile, WorkloadGenerator
 from .interactive import (
     InteractiveSessionSpec,
     SessionOutcome,
@@ -46,9 +45,6 @@ __all__ = [
     "SessionRecord",
     "SessionOutcome",
     "next_session_id",
-    "LabProfile",
-    "WorkloadGenerator",
-    "Arrival",
     "DemandProcess",
     "diurnal_weight",
 ]

@@ -1,15 +1,9 @@
-"""Reusable demand-arrival primitives.
+"""The diurnal demand-arrival primitive.
 
-The diurnally-modulated Poisson process was born inline in
-:mod:`repro.workloads.generator`; the scenario layer needs the same
-primitive with two extra degrees of freedom — a *phase shift* (a campus
-in another timezone peaks at a different simulation hour) and an
-optional *rate multiplier window* (flash crowds).  :class:`DemandProcess`
-is that extraction.  With the defaults (``phase_hours=0``,
-``modulated=True``) it consumes the RNG in *exactly* the same order as
-the original inline code, so every pre-existing trace drawn through
-:class:`~repro.workloads.generator.WorkloadGenerator` is preserved
-bit-for-bit.
+:class:`DemandProcess` is a diurnally-modulated Poisson process with a
+*phase shift* (a campus in another timezone peaks at a different
+simulation hour).  The scenario compiler draws every job and session
+arrival through it.
 """
 
 from __future__ import annotations
@@ -46,8 +40,7 @@ class DemandProcess:
     phase_hours:
         Hours to shift the diurnal curve *earlier*.  A site eight
         timezones east of the simulation origin peaks eight sim-hours
-        earlier: ``phase_hours=8``.  Zero (the default) reproduces the
-        original generator draws exactly.
+        earlier: ``phase_hours=8``.
     """
 
     rate_per_day: float
@@ -69,8 +62,7 @@ class DemandProcess:
 
         Candidate gaps are drawn at the peak rate and kept with
         probability equal to the diurnal weight — one ``expovariate``
-        plus (when modulated) one ``random`` per candidate, the exact
-        draw order the original generator used.
+        plus (when modulated) one ``random`` per candidate.
         """
         if self.rate_per_day <= 0:
             return []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines import ManualCoordinationSimulation
+from repro.scenarios import PlannedJob, PlannedSession
 from repro.gpu import GPUNode, RTX_3090, RTX_4090
 from repro.sim import Environment, RngStreams
 from repro.units import GIB, HOUR
@@ -13,7 +14,6 @@ from repro.workloads import (
     next_job_id,
     next_session_id,
 )
-from repro.workloads.generator import Arrival
 
 
 def make_sim(borrow=0.0, session_borrow=0.0):
@@ -31,13 +31,13 @@ def make_sim(borrow=0.0, session_borrow=0.0):
 def job(lab, compute=2 * HOUR, at=0.0):
     spec = TrainingJobSpec(job_id=next_job_id(), model=RESNET50,
                            total_compute=compute, lab=lab)
-    return Arrival(at, spec)
+    return PlannedJob(at=at, site="campus", spec=spec)
 
 
 def session(lab, at=0.0, duration=1 * HOUR):
     spec = InteractiveSessionSpec(session_id=next_session_id(), user="u",
                                   lab=lab, duration=duration)
-    return Arrival(at, spec)
+    return PlannedSession(at=at, site="campus", spec=spec)
 
 
 def test_own_lab_job_runs(env_sim=None):

@@ -13,12 +13,16 @@ from repro.gpu import GPUNode, RTX_3090
 from repro.sim import Environment, RngStreams
 from repro.units import HOUR
 from repro.workloads import RESNET50, TrainingJobSpec, next_job_id
-from repro.workloads.generator import Arrival
+from repro.scenarios import PlannedJob
 
 
 def job_spec(compute=2 * HOUR):
     return TrainingJobSpec(job_id=next_job_id(), model=RESNET50,
                            total_compute=compute)
+
+
+def arrival(at, compute):
+    return PlannedJob(at, "campus", job_spec(compute=compute))
 
 
 # -- reservation system ----------------------------------------------------
@@ -36,7 +40,7 @@ def make_reservation(padding=2.0, waits=1.0):
 
 def test_reservation_completes_but_holds_gpu():
     env, system, node = make_reservation(padding=2.0)
-    system.play_trace([Arrival(0.0, job_spec(compute=2 * HOUR))])
+    system.play_trace([arrival(0.0, 2 * HOUR)])
     env.run(until=24 * HOUR)
     record = system.records[0]
     assert record.outcome == "completed"
@@ -48,8 +52,8 @@ def test_reservation_completes_but_holds_gpu():
 def test_reservation_queues_behind_padding():
     env, system, node = make_reservation(padding=2.0)
     system.play_trace([
-        Arrival(0.0, job_spec(compute=2 * HOUR)),
-        Arrival(1.0, job_spec(compute=1 * HOUR)),
+        arrival(0.0, 2 * HOUR),
+        arrival(1.0, 1 * HOUR),
     ])
     env.run(until=48 * HOUR)
     first, second = system.records
@@ -66,7 +70,7 @@ def test_reservation_padding_validation():
 
 def test_provider_reclaim_kills_or_waits():
     env, system, node = make_reservation(waits=0.0)  # never waits
-    system.play_trace([Arrival(0.0, job_spec(compute=8 * HOUR))])
+    system.play_trace([arrival(0.0, 8 * HOUR)])
     env.run(until=2 * HOUR)
     violations = system.provider_reclaim(node)
     assert len(violations) == 1
@@ -77,7 +81,7 @@ def test_provider_reclaim_kills_or_waits():
 
 def test_provider_reclaim_waits_when_patient():
     env, system, node = make_reservation(waits=1.0)  # always waits
-    system.play_trace([Arrival(0.0, job_spec(compute=8 * HOUR))])
+    system.play_trace([arrival(0.0, 8 * HOUR)])
     env.run(until=2 * HOUR)
     violations = system.provider_reclaim(node)
     assert violations[0].resolution == "provider-waited"

@@ -3,29 +3,31 @@
 import pytest
 
 from repro.experiments import (
-    PAPER_LABS,
-    PAPER_SERVERS,
-    build_gpunion_campus,
-    build_manual_campus,
-    campus_demand,
+    campus_platform,
+    manual_campus,
+    paper_campus,
     run_scalability,
     run_training_impact,
-    total_gpus,
 )
 from repro.experiments.network_traffic import run_network_traffic
-from repro.units import DAY, HOUR
+from repro.gpu.specs import lookup
+from repro.scenarios import compile_scenario
+from repro.units import DAY, HOUR, gbps
 from repro.workloads import TrainingJobSpec
 from repro.workloads.interactive import InteractiveSessionSpec
 
 
 def test_paper_fleet_matches_deployment():
     # 11 servers, 22 GPUs: 8×1×3090 + 8×4090 + 2×A100 + 4×A6000.
-    assert len(PAPER_SERVERS) == 11
-    assert total_gpus() == 22
+    spec = paper_campus(DAY)
+    (site,) = spec.sites
+    assert len(site.providers) == 11
+    assert spec.total_gpus == 22
     counts = {}
-    for server in PAPER_SERVERS:
-        for spec in server.gpu_specs:
-            counts[spec.model] = counts.get(spec.model, 0) + 1
+    for provider in site.providers:
+        for gpu in provider.gpus:
+            model = lookup(gpu).model
+            counts[model] = counts.get(model, 0) + 1
     assert counts["NVIDIA GeForce RTX 3090"] == 8
     assert counts["NVIDIA GeForce RTX 4090"] == 8
     assert counts["NVIDIA A100 40GB"] == 2
@@ -33,23 +35,29 @@ def test_paper_fleet_matches_deployment():
 
 
 def test_campus_demand_trace_deterministic_and_mixed():
-    trace_a = campus_demand(seed=1, horizon=2 * DAY)
-    trace_b = campus_demand(seed=1, horizon=2 * DAY)
+    spec = paper_campus(2 * DAY)
+    first = compile_scenario(spec, seed=1)
+    second = compile_scenario(spec, seed=1)
+    trace_a = first.jobs + first.sessions
+    trace_b = second.jobs + second.sessions
     assert len(trace_a) == len(trace_b)
-    assert [a.time for a in trace_a] == [b.time for b in trace_b]
-    kinds = {type(arrival.spec) for arrival in trace_a}
+    assert [a.at for a in trace_a] == [b.at for b in trace_b]
+    kinds = {type(planned.spec) for planned in trace_a}
     assert TrainingJobSpec in kinds
     assert InteractiveSessionSpec in kinds
     # Compute-poor labs contribute jobs.
-    labs = {arrival.spec.lab for arrival in trace_a
-            if isinstance(arrival.spec, TrainingJobSpec)}
+    labs = {planned.spec.lab for planned in first.jobs}
     assert "theory" in labs and "hci" in labs
 
 
 def test_build_both_phases():
-    platform = build_gpunion_campus(seed=1)
+    spec = paper_campus(DAY)
+    platform = campus_platform(compile_scenario(spec, seed=1))
     assert len(platform.agents) == 11
-    manual = build_manual_campus(seed=1)
+    # The multi-GPU servers sit on 10 Gbps, the workstations on 1 Gbps.
+    assert platform.lan.port("gpu-farm").uplink.capacity == gbps(10)
+    assert platform.lan.port("ws1").uplink.capacity == gbps(1)
+    manual = manual_campus(spec, seed=1)
     assert len(manual.all_gpus()) == 22
     assert set(manual.nodes_by_lab) == {
         "vision", "nlp", "systems", "ml-infra", "bio", "robotics",

@@ -50,8 +50,8 @@ def test_compile_is_deterministic():
 def test_compile_seeds_differ():
     a = compile_scenario(example_scenario(), seed=1)
     b = compile_scenario(example_scenario(), seed=2)
-    assert [(j.at for j in a.jobs)] != [(j.at for j in b.jobs)] or \
-           [s.at for s in a.sessions] != [s.at for s in b.sessions]
+    assert [j.at for j in a.jobs] != [j.at for j in b.jobs]
+    assert [s.at for s in a.sessions] != [s.at for s in b.sessions]
 
 
 def test_compiled_structure_matches_spec():
@@ -75,13 +75,13 @@ def test_trace_override():
 # -- the runner --------------------------------------------------------------
 
 def checked_in(name, hours=24.0, **change):
-    """A checked-in federation scenario, traced, over a short horizon."""
+    """A checked-in scenario, traced, over a short horizon."""
     return replace(load_scenario(name), duration_hours=hours, trace=True,
                    **change)
 
 
-#: The chaos scenario, the federation experiments' checked-in
-#: scenarios, and the Byzantine experiment's forging variant.
+#: The chaos scenario, every checked-in scenario, and the Byzantine
+#: experiment's forging variant.
 SWEEPS = {
     "chaos-sweep": chaos_scenario,
     "federation-mesh": lambda: checked_in("federation-mesh"),
@@ -90,6 +90,7 @@ SWEEPS = {
     "federation-mesh-forge": lambda: checked_in(
         "federation-mesh", hours=12.0,
         adversaries=(AdversarySpec("east", "forge"),)),
+    "paper-campus": lambda: checked_in("paper-campus"),
 }
 
 

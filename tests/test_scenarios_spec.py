@@ -202,6 +202,42 @@ def test_fault_window_errors_carry_their_path():
     assert "duration must be positive" in str(err.value)
 
 
+def test_lab_demand_round_trips_and_errors_carry_its_path():
+    doc = minimal_dict()
+    doc["sites"][0]["labs"] = [
+        {"lab": "vision", "demand": {"jobs_per_day": 2.0}},
+        {"lab": "", "demand": {"sessions_per_day": 1.0}},
+    ]
+    spec = ScenarioSpec.from_dict(doc)
+    assert [lab.tag for lab in spec.sites[0].labs] == [
+        "vision", "unaffiliated"]
+    assert ScenarioSpec.from_json(spec.to_json()) == spec
+    doc["sites"][0]["labs"][1]["demand"]["jobs"] = 1.0
+    with pytest.raises(ScenarioError,
+                       match=r"scenario\.sites\[0\]\.labs\[1\]\.demand"):
+        ScenarioSpec.from_dict(doc)
+
+
+def test_unaffiliated_lab_cannot_collide_with_a_named_one():
+    # Both would plan ids as "sc-<site>/unaffiliated-...".
+    doc = minimal_dict()
+    doc["sites"][0]["labs"] = [{"lab": "", "demand": {}},
+                               {"lab": "unaffiliated", "demand": {}}]
+    with pytest.raises(ScenarioError, match="duplicate labs"):
+        ScenarioSpec.from_dict(doc)
+
+
+def test_site_name_cannot_look_like_a_lab_qualified_one():
+    # Site "campus/vision" would plan the ids of lab "vision" at "campus".
+    with pytest.raises(ValueError, match="must not contain '/'"):
+        site("campus/vision")
+
+
+def test_access_gbps_must_be_positive():
+    with pytest.raises(ValueError, match="access_gbps"):
+        ProviderSpec(name="ws", gpus=("rtx3090",), access_gbps=0.0)
+
+
 def test_churn_probabilities_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
         ChurnSpec(p_scheduled=0.5, p_emergency=0.5, p_temporary=0.5)

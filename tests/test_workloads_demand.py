@@ -5,15 +5,23 @@ import random
 
 import pytest
 
+from repro.scenarios import (
+    DemandSpec,
+    LabDemandSpec,
+    ProviderSpec,
+    ScenarioSpec,
+    SiteSpec,
+    compile_scenario,
+)
 from repro.sim import RngStreams
+from repro.sim.rng import derive_seed
 from repro.units import DAY, HOUR
 from repro.workloads import DemandProcess, diurnal_weight
-from repro.workloads.generator import _poisson_arrivals
 
 
 def _legacy_poisson_arrivals(rng, rate_per_day, horizon, modulated=True):
-    """Verbatim copy of the pre-extraction generator code (the bit-for-bit
-    oracle: same draws, same thinning, same accept order)."""
+    """The original inline arrival code (the bit-for-bit oracle: same
+    draws, same thinning, same accept order)."""
     if rate_per_day <= 0:
         return []
     peak_rate = rate_per_day / DAY
@@ -40,11 +48,20 @@ def test_bit_for_bit_with_legacy_generator_code(rate, modulated):
         oracle_rng, rate, 14 * DAY, modulated=modulated)
 
 
-def test_generator_wrapper_delegates_identically():
-    a = RngStreams(seed=5).stream("sessions:nlp")
-    b = RngStreams(seed=5).stream("sessions:nlp")
-    assert _poisson_arrivals(a, 3.0, 7 * DAY) == DemandProcess(3.0).arrivals(
-        b, 7 * DAY)
+def test_lab_demand_draws_through_demand_process():
+    # The scenario compiler draws a lab's sessions through DemandProcess
+    # on the lab's own named stream.
+    spec = ScenarioSpec(
+        name="one-lab", duration_hours=7 * DAY / HOUR,
+        sites=(SiteSpec(
+            name="campus", providers=(ProviderSpec("ws1", ("rtx3090",)),),
+            labs=(LabDemandSpec("nlp", DemandSpec(sessions_per_day=3.0)),)),))
+    compiled = compile_scenario(spec, seed=5)
+    streams = RngStreams(derive_seed(5, "scenario-demand:one-lab"))
+    expected = DemandProcess(3.0).arrivals(
+        streams.stream("sessions:campus/nlp"), 7 * DAY)
+    assert expected
+    assert [planned.at for planned in compiled.sessions] == expected
 
 
 def test_zero_rate_draws_nothing():
